@@ -9,7 +9,7 @@
 STATICCHECK = go run honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK = go run golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build check lint lint-offline test race chaos crash soak fuzz-smoke bench replay-smoke failover-drill gauntlet gauntlet-smoke edge-smoke vettool clean
+.PHONY: all build check lint lint-offline test race chaos crash soak fuzz-smoke bench bench-check replay-smoke failover-drill gauntlet gauntlet-smoke edge-smoke vettool clean
 
 all: build
 
@@ -82,6 +82,16 @@ BENCH_SEL  = 'ROAccessReport|Select40Tags|Select400Tags|NewIndexTable|ObserveSta
 bench:
 	go test -run '^$$' -bench $(BENCH_SEL) -benchmem -benchtime=0.2s $(BENCH_PKGS) | go run ./cmd/benchjson > BENCH_core.json
 	@cat BENCH_core.json
+
+# The allocation gate: the same selection, checked against the checked-in
+# BENCH_core.json. Fails when a benchmark disappeared or its allocs/op rose
+# by more than 1 %; ns/op is printed but not judged (it follows the
+# machine). The run goes to a temp file first so a failing `go test`
+# fails the target.
+bench-check:
+	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
+	go test -run '^$$' -bench $(BENCH_SEL) -benchmem -benchtime=0.2s $(BENCH_PKGS) > "$$tmp" && \
+	go run ./cmd/benchjson -compare BENCH_core.json < "$$tmp"
 
 # The replay determinism gate: the retail-rush pack streamed through a
 # real fleet at 100x virtual time, twice, under the race detector; the

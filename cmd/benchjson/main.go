@@ -3,15 +3,25 @@
 // per benchmark with ns/op, B/op, and allocs/op, sorted by (package,
 // name) so diffs against the previous trajectory point are stable.
 //
+// With -compare it instead checks the run on stdin against an earlier
+// BENCH_core.json and exits 1 when a benchmark of the old file is
+// missing from the run or reports no allocs/op, or when its allocs/op
+// rose by more than 1 %. It prints old and new ns/op without judging
+// them: times depend on the machine, allocation counts do not.
+//
 // Usage:
 //
 //	go test -run '^$' -bench . -benchmem ./... | benchjson > BENCH_core.json
+//	go test -run '^$' -bench . -benchmem ./... > new.txt
+//	benchjson -compare BENCH_core.json < new.txt
 package main
 
 import (
 	"bufio"
 	"encoding/json"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"sort"
 	"strconv"
@@ -38,6 +48,8 @@ type Output struct {
 }
 
 func main() {
+	against := flag.String("compare", "", "check the run on stdin against this earlier BENCH_core.json instead of printing it")
+	flag.Parse()
 	out, err := parse(bufio.NewScanner(os.Stdin))
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
@@ -46,6 +58,25 @@ func main() {
 	if len(out.Benchmarks) == 0 {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark lines on stdin")
 		os.Exit(1)
+	}
+	if *against != "" {
+		raw, err := os.ReadFile(*against)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "benchjson:", err)
+			os.Exit(1)
+		}
+		var old Output
+		if err := json.Unmarshal(raw, &old); err != nil {
+			fmt.Fprintf(os.Stderr, "benchjson: %s: %v\n", *against, err)
+			os.Exit(1)
+		}
+		if failures := compare(os.Stdout, old, out); len(failures) > 0 {
+			for _, f := range failures {
+				fmt.Fprintln(os.Stderr, "benchjson: FAIL", f)
+			}
+			os.Exit(1)
+		}
+		return
 	}
 	b, err := json.MarshalIndent(out, "", "  ")
 	if err != nil {
@@ -57,6 +88,49 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson:", err)
 		os.Exit(1)
 	}
+}
+
+// allocSlack is the rise in allocs/op that compare forgives: set-up
+// allocations amortised over a different b.N move the truncated count.
+const allocSlack = 0.01
+
+// compare writes a table of old against cur to w and returns one line
+// per failure: a benchmark of old missing from cur, or its allocs/op
+// unreported or risen by more than allocSlack. Benchmarks only in cur are
+// listed, not judged.
+func compare(w io.Writer, old, cur Output) []string {
+	key := func(r Result) string { return r.Pkg + "." + r.Name }
+	byKey := make(map[string]Result, len(cur.Benchmarks))
+	for _, r := range cur.Benchmarks {
+		byKey[key(r)] = r
+	}
+	var failures []string
+	fmt.Fprintf(w, "%-60s %14s %14s %10s %10s\n", "benchmark", "old ns/op", "new ns/op", "old allocs", "new allocs")
+	for _, o := range old.Benchmarks {
+		k := key(o)
+		n, ok := byKey[k]
+		if !ok {
+			fmt.Fprintf(w, "%-60s %14.1f %14s %10d %10s\n", k, o.NsPerOp, "missing", o.AllocsPerOp, "-")
+			failures = append(failures, k+": missing from the new run")
+			continue
+		}
+		delete(byKey, k)
+		fmt.Fprintf(w, "%-60s %14.1f %14.1f %10d %10d\n", k, o.NsPerOp, n.NsPerOp, o.AllocsPerOp, n.AllocsPerOp)
+		switch {
+		case o.AllocsPerOp < 0:
+			// The old file has no count to hold the run to.
+		case n.AllocsPerOp < 0:
+			failures = append(failures, k+": no allocs/op in the new run (run it with -benchmem)")
+		case float64(n.AllocsPerOp) > float64(o.AllocsPerOp)*(1+allocSlack):
+			failures = append(failures, fmt.Sprintf("%s: allocs/op rose from %d to %d", k, o.AllocsPerOp, n.AllocsPerOp))
+		}
+	}
+	for _, n := range cur.Benchmarks {
+		if _, added := byKey[key(n)]; added {
+			fmt.Fprintf(w, "%-60s %14s %14.1f %10s %10d\n", key(n), "new", n.NsPerOp, "-", n.AllocsPerOp)
+		}
+	}
+	return failures
 }
 
 func parse(sc *bufio.Scanner) (Output, error) {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -136,8 +137,7 @@ type Tagwatch struct {
 
 	// table caches the schedule index; rebuilt when the population
 	// changes.
-	table    *schedule.IndexTable
-	tableKey string
+	table *schedule.IndexTable
 }
 
 // New builds a Tagwatch instance over a device.
@@ -234,11 +234,10 @@ func (tw *Tagwatch) RunCycle() CycleReport {
 
 	planStart := time.Now() // wall clock: the Fig. 17 schedule cost
 	moving := make(map[epc.EPC]bool)
-	present := make(map[epc.EPC]bool)
 	now := tw.dev.Now()
 	for _, r := range rep.PhaseIReads {
 		tw.deliver(r)
-		present[r.EPC] = true
+		rep.Present = append(rep.Present, r.EPC)
 		// Restless = fresh motion evidence OR mode churn: the latter is
 		// what keeps periodic movers (turntables, circular tracks) visible
 		// once their phase range has been fully absorbed into modes.
@@ -247,8 +246,11 @@ func (tw *Tagwatch) RunCycle() CycleReport {
 			tw.lastRestless[r.EPC] = r.Time
 		}
 	}
-	for code := range present {
-		rep.Present = append(rep.Present, code)
+	// EPC byte order makes the lists, and so the plan's tie-breaks,
+	// independent of map iteration order.
+	slices.SortFunc(rep.Present, epc.Compare)
+	rep.Present = slices.Compact(rep.Present)
+	for _, code := range rep.Present {
 		if moving[code] {
 			rep.Mobile = append(rep.Mobile, code)
 		}
@@ -388,36 +390,16 @@ func (tw *Tagwatch) finishCycle(rep *CycleReport) {
 }
 
 // ensureTable rebuilds the schedule index when the present population
-// changed — the incremental-update step of §5.3's preprocessing.
+// changed — the incremental-update step of §5.3's preprocessing. The
+// population is sorted by epc.Compare, the order the table keeps.
 func (tw *Tagwatch) ensureTable(population []epc.EPC) {
-	key := populationKey(population)
-	if tw.table != nil && key == tw.tableKey {
+	if tw.table != nil && slices.Equal(population, tw.table.Population()) {
 		return
 	}
 	t, err := schedule.NewIndexTable(tw.cfg.Schedule, population)
 	if err != nil {
 		tw.table = nil
-		tw.tableKey = ""
 		return
 	}
 	tw.table = t
-	tw.tableKey = key
-}
-
-// populationKey builds an order-insensitive fingerprint of the population.
-func populationKey(pop []epc.EPC) string {
-	// XOR of per-EPC FNV hashes: order-insensitive, collision-unlikely for
-	// the population sizes at hand.
-	var acc [8]byte
-	for _, code := range pop {
-		var h uint64 = 1469598103934665603
-		for _, b := range []byte(code.String()) {
-			h ^= uint64(b)
-			h *= 1099511628211
-		}
-		for i := 0; i < 8; i++ {
-			acc[i] ^= byte(h >> (8 * i))
-		}
-	}
-	return fmt.Sprintf("%d:%x", len(pop), acc)
 }

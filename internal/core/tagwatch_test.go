@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
@@ -171,6 +172,28 @@ func TestIRRGainOverReadAll(t *testing.T) {
 	gain := twIRR / baseIRR
 	if gain < 1.5 {
 		t.Fatalf("IRR gain = %.2f× (tagwatch %.1f Hz vs read-all %.1f Hz), want ≥ 1.5×", gain, twIRR, baseIRR)
+	}
+}
+
+func TestIdenticalSeedsRepeatEveryCycle(t *testing.T) {
+	// Two instances over identically seeded simulators must agree on every
+	// cycle report, plans included: nothing may depend on map order.
+	a, _, _, _ := paperRig(t, 9, 60, 4, 0)
+	b, _, _, _ := paperRig(t, 9, 60, 4, 0)
+	selective := 0
+	for i := 0; i < 40; i++ {
+		ra, rb := a.RunCycle(), b.RunCycle()
+		ra.ScheduleCost, rb.ScheduleCost = 0, 0 // wall clock
+		if !reflect.DeepEqual(ra, rb) {
+			t.Fatalf("cycle %d differs:\nPresent %v / %v\nTargets %v / %v\nPlan %v / %v",
+				i, ra.Present, rb.Present, ra.Targets, rb.Targets, ra.Plan.Bitmasks(), rb.Plan.Bitmasks())
+		}
+		if !ra.FellBack {
+			selective++
+		}
+	}
+	if selective < 20 {
+		t.Fatalf("only %d of 40 cycles were selective", selective)
 	}
 }
 

@@ -298,6 +298,12 @@ func (c *Client) frameLoop(ctx context.Context, conn net.Conn, br *bufio.Reader)
 	var data []byte
 	for {
 		conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
+		// A cancellation that landed while the previous frame was handled
+		// had its forced deadline overwritten just now; catch it here, or
+		// it stays lost for as long as upstream keeps sending.
+		if err := ctx.Err(); err != nil {
+			return err
+		}
 		line, err := br.ReadString('\n')
 		if err != nil {
 			if ctx.Err() != nil {

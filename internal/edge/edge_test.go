@@ -2,12 +2,15 @@ package edge
 
 import (
 	"bufio"
+	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -416,4 +419,80 @@ func TestEdgeGapAnnouncedAndRecovered(t *testing.T) {
 		t.Fatalf("gap accounting doesn't balance: %+v", st)
 	}
 	t.Logf("gap path: %d gaps (%d healed, %d reset) over %d sessions", st.Gaps, st.GapsHealed, st.GapsReset, st.Sessions)
+}
+
+// cancelOnKeepalive cancels the client's context from inside the Read
+// that returns the first keepalive, and holds that Read until the
+// context's AfterFunc has forced the conn's deadline. The cancellation
+// so lands while the client handles a frame, before it re-arms the read
+// deadline for the next one.
+type cancelOnKeepalive struct {
+	net.Conn
+	cancel context.CancelFunc
+	fired  bool // touched only by the client's goroutine, which does every Read
+	forced chan struct{}
+	once   sync.Once
+}
+
+// SetDeadline is called only by the client's cancellation hook.
+func (c *cancelOnKeepalive) SetDeadline(t time.Time) error {
+	err := c.Conn.SetDeadline(t)
+	c.once.Do(func() { close(c.forced) })
+	return err
+}
+
+func (c *cancelOnKeepalive) Read(p []byte) (int, error) {
+	n, err := c.Conn.Read(p)
+	if !c.fired && bytes.Contains(p[:n], []byte(":keepalive")) {
+		c.fired = true
+		c.cancel()
+		<-c.forced
+	}
+	return n, err
+}
+
+// TestEdgeCancelWhileHandlingFrame: a cancellation that lands while the
+// client handles a frame must end Run promptly, although upstream keeps
+// the stream busy with keepalives far inside the read timeout.
+func TestEdgeCancelWhileHandlingFrame(t *testing.T) {
+	fcfg := fleet.DefaultConfig()
+	fcfg.SSEHeartbeat = 10 * time.Millisecond
+	ts := httptest.NewServer(fleet.New(fcfg).Handler())
+	defer ts.Close()
+	// Unblocks a client that missed the cancel, so the test fails rather
+	// than hangs; a no-op when Run has returned.
+	defer ts.CloseClientConnections()
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	forced := make(chan struct{})
+	cfg := edgeConfig(ts.Listener.Addr().String())
+	cfg.ReadTimeout = 30 * time.Second
+	cfg.Dial = func(ctx context.Context, addr string) (net.Conn, error) {
+		var d net.Dialer
+		conn, err := d.DialContext(ctx, "tcp", addr)
+		if err != nil {
+			return nil, err
+		}
+		return &cancelOnKeepalive{Conn: conn, cancel: cancel, forced: forced}, nil
+	}
+	client := NewClient(cfg)
+	done := make(chan error, 1)
+	go func() { done <- client.Run(ctx) }()
+
+	select {
+	case <-forced:
+	case <-time.After(5 * time.Second):
+		t.Fatal("no keepalive reached the client")
+	}
+	select {
+	case err := <-done:
+		if !errors.Is(err, context.Canceled) {
+			t.Fatalf("Run returned %v, want context.Canceled", err)
+		}
+	case <-time.After(time.Second):
+		ts.CloseClientConnections()
+		<-done
+		t.Fatal("Run still followed upstream 1s after the cancel")
+	}
 }

@@ -12,6 +12,7 @@
 package epc
 
 import (
+	"cmp"
 	"encoding/hex"
 	"errors"
 	"fmt"
@@ -82,6 +83,20 @@ func (e EPC) Bits() int { return e.bits }
 
 // Bytes returns a fresh copy of the EPC's raw bytes.
 func (e EPC) Bytes() []byte { return []byte(e.data) }
+
+// AppendBytes appends the EPC's raw bytes to b and returns the extended
+// slice; unlike Bytes it allocates nothing when b has room.
+func (e EPC) AppendBytes(b []byte) []byte { return append(b, e.data...) }
+
+// Compare orders EPCs by their bytes, then by bit length, returning -1, 0
+// or +1. For EPCs of one length this is also the order of their hex
+// strings.
+func Compare(a, b EPC) int {
+	if c := strings.Compare(a.data, b.data); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.bits, b.bits)
+}
 
 // IsZero reports whether e is the zero EPC (no bits at all).
 func (e EPC) IsZero() bool { return e.bits == 0 }

@@ -17,6 +17,32 @@ func TestNewAndString(t *testing.T) {
 	}
 }
 
+func TestCompareFollowsHexOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	pop, err := RandomPopulation(rng, 200, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(pop); i++ {
+		a, b := pop[i-1], pop[i]
+		if got, want := Compare(a, b), strings.Compare(a.String(), b.String()); got != want {
+			t.Fatalf("Compare(%s, %s) = %d, hex order says %d", a, b, got, want)
+		}
+		if Compare(a, a) != 0 {
+			t.Fatalf("Compare(%s, itself) != 0", a)
+		}
+	}
+	// Equal bytes, different lengths: distinct EPCs, ordered by length.
+	short, _ := NewBits([]byte{0xAB, 0xC0}, 12)
+	long := New([]byte{0xAB, 0xC0})
+	if Compare(short, long) != -1 || Compare(long, short) != 1 {
+		t.Fatalf("12-bit %s vs 16-bit %s: want the shorter first", short, long)
+	}
+	if got := long.AppendBytes([]byte{0x01}); string(got) != "\x01\xab\xc0" {
+		t.Fatalf("AppendBytes = %x", got)
+	}
+}
+
 func TestNewBitsTrimsTrailing(t *testing.T) {
 	a, err := NewBits([]byte{0xFF, 0xFF}, 12)
 	if err != nil {

@@ -10,17 +10,31 @@
 // repeatedly picks the bitmask with the highest relative gain
 // R(S) = |V_S ∧ V| / C(|V_S|).
 //
-// The index table is precomputed over the current tag population with
-// indicator bitmaps packed into uint64 words, so one greedy run over
-// hundreds of tags and tens of thousands of candidates costs milliseconds
-// (the paper's Fig. 17 budget).
+// The index table stores the population as column bitmaps: one bitmap per
+// EPC bit position, 64 tags to a word. Select grows each target's windows
+// one bit at a time: the coverage of S(m, p, l) is the coverage of
+// S(m, p, l−1) masked by column p+l−1 (or its complement where the
+// target's bit is 0), so a candidate costs ⌈n/64⌉ word operations rather
+// than n comparisons. Many windows cover the same tags, and only the first
+// window with a given coverage — in the order targets as given, then l
+// ascending, then p ascending — becomes a candidate row:
+//
+//   - a window whose coverage did not shrink from (p, l−1) repeats a
+//     coverage already seen, and is skipped without a lookup;
+//   - once the window at p covers only its own target, every longer window
+//     at p would repeat it, so that pointer is finished;
+//   - every other window is looked up by a hash of its coverage words and
+//     compared exactly on a hash hit.
+//
+// The greedy then drops a row from its scan as soon as its gain reaches
+// zero, since the uncovered set V only shrinks.
 package schedule
 
 import (
 	"fmt"
 	"math/bits"
 	"math/rand"
-	"sort"
+	"slices"
 	"time"
 
 	"tagwatch/internal/aloha"
@@ -80,29 +94,6 @@ func DefaultConfig() Config {
 	return Config{Cost: aloha.PaperCostModel(), PointerStride: 1}
 }
 
-// words packs an EPC code into 64-bit words, MSB first, zero-padded.
-type words [2]uint64
-
-func packEPC(code epc.EPC) (words, bool) {
-	if code.Bits() > 128 {
-		return words{}, false
-	}
-	var w words
-	for i, b := range code.Bytes() {
-		w[i/8] |= uint64(b) << (56 - 8*(i%8))
-	}
-	return w, true
-}
-
-// windowMask returns words with ones at bit positions [p, p+l).
-func windowMask(p, l int) words {
-	var m words
-	for i := p; i < p+l; i++ {
-		m[i/64] |= 1 << (63 - i%64)
-	}
-	return m
-}
-
 // bitmap is an indicator over the population, packed 64 tags per word.
 type bitmap []uint64
 
@@ -135,32 +126,30 @@ func (b bitmap) clear(o bitmap) {
 	}
 }
 
-func (b bitmap) key() string {
-	buf := make([]byte, 8*len(b))
-	for i, w := range b {
-		for j := 0; j < 8; j++ {
-			buf[8*i+j] = byte(w >> (8 * j))
-		}
+// hash mixes the bitmap's words into 64 bits for row deduplication.
+func (b bitmap) hash() uint64 {
+	h := uint64(len(b))
+	for _, w := range b {
+		h = bits.RotateLeft64(h^w, 29) * 0x9e3779b97f4a7c15
 	}
-	return string(buf)
+	return h ^ h>>32
 }
 
-// row is one candidate bitmask with its population indicator.
-type row struct {
-	mask    Bitmask
-	covered bitmap
-	count   int // |covered|, cached
-}
+// maxBits is the longest EPC the index table accepts.
+const maxBits = 128
 
 // IndexTable is the §5.3 pre-built table: the current population plus fast
 // coverage evaluation. Build one per population snapshot; it answers any
 // number of Select calls (target sets) against that snapshot.
 type IndexTable struct {
-	cfg    Config
-	tags   []epc.EPC
-	index  map[epc.EPC]int
-	packed []words
-	bits   int // common EPC bit length
+	cfg  Config
+	tags []epc.EPC // sorted by epc.Compare
+	bits int       // common EPC bit length
+	// cols holds one bitmap over the population per EPC bit position:
+	// column c is cols[c*words : (c+1)*words], tag i's bit c at bit i%64
+	// of word i/64.
+	cols  []uint64
+	words int
 }
 
 // NewIndexTable builds the table over the current tag population. All tags
@@ -176,77 +165,176 @@ func NewIndexTable(cfg Config, population []epc.EPC) (*IndexTable, error) {
 	if cfg.PointerStride <= 0 {
 		cfg.PointerStride = 1
 	}
+	tags := slices.Clone(population)
+	slices.SortFunc(tags, epc.Compare)
 	t := &IndexTable{
-		cfg:    cfg,
-		tags:   append([]epc.EPC(nil), population...),
-		index:  make(map[epc.EPC]int, len(population)),
-		packed: make([]words, len(population)),
-		bits:   population[0].Bits(),
+		cfg:   cfg,
+		tags:  tags,
+		bits:  tags[0].Bits(),
+		words: (len(tags) + 63) / 64,
 	}
-	sort.Slice(t.tags, func(i, j int) bool { return t.tags[i].String() < t.tags[j].String() })
-	for i, code := range t.tags {
-		if code.Bits() != t.bits {
-			return nil, fmt.Errorf("schedule: mixed EPC lengths %d and %d", t.bits, code.Bits())
+	if t.bits > maxBits {
+		return nil, fmt.Errorf("schedule: EPC %s exceeds %d bits", tags[0], maxBits)
+	}
+	// Each block of 64 tags is a 64×64 bit matrix per 64 EPC bits, one
+	// row per tag; transposing it yields that block's word of 64 columns.
+	t.cols = make([]uint64, t.bits*t.words)
+	var block [2][64]uint64
+	var buf []byte
+	for w := 0; w < t.words; w++ {
+		block = [2][64]uint64{}
+		for j, code := range tags[64*w : min(64*w+64, len(tags))] {
+			i := 64*w + j
+			if code.Bits() != t.bits {
+				return nil, fmt.Errorf("schedule: mixed EPC lengths %d and %d", t.bits, code.Bits())
+			}
+			if i > 0 && code == tags[i-1] {
+				return nil, fmt.Errorf("schedule: duplicate EPC %s", code)
+			}
+			// Row 63-j, so that the transpose puts tag j at bit j.
+			buf = code.AppendBytes(buf[:0])
+			for k, b := range buf {
+				block[k/8][63-j] |= uint64(b) << (56 - 8*(k%8))
+			}
 		}
-		if _, dup := t.index[code]; dup {
-			return nil, fmt.Errorf("schedule: duplicate EPC %s", code)
+		for half := 0; 64*half < t.bits; half++ {
+			transpose64(&block[half])
+			for c := 64 * half; c < min(64*half+64, t.bits); c++ {
+				t.cols[c*t.words+w] = block[half][c-64*half]
+			}
 		}
-		w, ok := packEPC(code)
-		if !ok {
-			return nil, fmt.Errorf("schedule: EPC %s exceeds 128 bits", code)
-		}
-		t.index[code] = i
-		t.packed[i] = w
 	}
 	return t, nil
+}
+
+// transpose64 transposes a 64×64 bit matrix in place, rows as words with
+// column 0 at the most significant bit (Hacker's Delight, §7–3).
+func transpose64(a *[64]uint64) {
+	m := uint64(0x00000000ffffffff)
+	for j := 32; j != 0; j, m = j>>1, m^m<<(j>>1) {
+		for k := 0; k < 64; k = (k | j + 1) &^ j {
+			x := (a[k] ^ a[k|j]>>j) & m
+			a[k] ^= x
+			a[k|j] ^= x << j
+		}
+	}
 }
 
 // Size returns the population size.
 func (t *IndexTable) Size() int { return len(t.tags) }
 
-// Population returns the (sorted) population snapshot.
+// Population returns the population snapshot, sorted by epc.Compare.
 func (t *IndexTable) Population() []epc.EPC { return t.tags }
 
+// column returns the bitmap of tags whose EPC bit c is set.
+func (t *IndexTable) column(c int) bitmap { return t.cols[c*t.words : (c+1)*t.words] }
+
+// row is one candidate bitmask: the window [pointer, pointer+length) of
+// the EPC of population member target. Its coverage is kept in the
+// owning rows arena. The int32 fields shrink a row from 48 to 32 bytes;
+// at hundreds of tags a Select makes thousands of rows.
+type row struct {
+	target, pointer, length int32
+	count                   int32 // |coverage|
+	next                    int32 // the previous row with the same coverage hash, or -1
+	cost                    time.Duration
+}
+
+// rows is one Select call's candidate set. It lives only for the call:
+// at hundreds of tags the arena runs to megabytes.
+type rows struct {
+	words  int
+	arena  []uint64 // row r's coverage is arena[r*words : (r+1)*words]
+	list   []row
+	byHash map[uint64]int32 // coverage hash → the newest row with that hash
+}
+
+func (rs *rows) coverage(r int) bitmap { return rs.arena[r*rs.words : (r+1)*rs.words] }
+
+// add records the window as a row unless a row with the same coverage
+// exists.
+func (rs *rows) add(cov bitmap, r row) {
+	h := cov.hash()
+	head, ok := rs.byHash[h]
+	if !ok {
+		head = -1
+	}
+	for o := head; o >= 0; o = rs.list[o].next {
+		if slices.Equal(cov, rs.coverage(int(o))) {
+			return
+		}
+	}
+	r.next = head
+	rs.byHash[h] = int32(len(rs.list))
+	rs.list = append(rs.list, r)
+	rs.arena = append(rs.arena, cov...)
+}
+
 // buildRows enumerates the candidate bitmasks derived from the targets:
-// every substring S(m, p, l) of a target EPC, deduplicated by coverage.
-func (t *IndexTable) buildRows(targets []int) []row {
+// every substring S(m, p, l) of a target EPC, deduplicated by coverage,
+// and prices each.
+func (t *IndexTable) buildRows(targets []int) *rows {
 	maxLen := t.cfg.MaxLen
 	if maxLen <= 0 || maxLen > t.bits {
 		maxLen = t.bits
 	}
-	seen := make(map[string]struct{})
-	var rows []row
+	stride := t.cfg.PointerStride
+	pointers := (t.bits + stride - 1) / stride
+	rs := &rows{words: t.words, byHash: make(map[uint64]int32)}
+	// cov holds the coverage of the current window at each pointer.
+	cov := make([]uint64, pointers*t.words)
+	all := newBitmap(len(t.tags))
+	for i := range t.tags {
+		all.set(i)
+	}
+	active := make([]int, 0, pointers) // pointer indexes not yet finished
 	for _, ti := range targets {
-		tw := t.packed[ti]
-		for l := 1; l <= maxLen; l++ {
-			for p := 0; p+l <= t.bits; p += t.cfg.PointerStride {
-				wm := windowMask(p, l)
-				cov := newBitmap(len(t.tags))
+		active = active[:0]
+		for k := 0; k < pointers; k++ {
+			copy(cov[k*t.words:], all)
+			active = append(active, k)
+		}
+		tw, tb := ti/64, uint(ti%64)
+		for l := 1; l <= maxLen && len(active) > 0; l++ {
+			kept := active[:0]
+			for _, k := range active {
+				p := k * stride
+				if p+l > t.bits {
+					break // so do all later pointers, at this and every longer l
+				}
+				c := bitmap(cov[k*t.words : (k+1)*t.words])
+				col := t.column(p + l - 1)
+				flip := col[tw]>>tb&1 - 1 // all ones where the target's bit is 0
+				shrunk := false
 				count := 0
-				for i, pw := range t.packed {
-					if (pw[0]^tw[0])&wm[0] == 0 && (pw[1]^tw[1])&wm[1] == 0 {
-						cov.set(i)
-						count++
+				for w := range c {
+					x := c[w] & (col[w] ^ flip)
+					if x != c[w] {
+						c[w] = x
+						shrunk = true
 					}
+					count += bits.OnesCount64(x)
 				}
-				k := cov.key()
-				if _, dup := seen[k]; dup {
-					continue
+				if count > 1 {
+					kept = append(kept, k)
 				}
-				seen[k] = struct{}{}
-				mask, err := t.tags[ti].Slice(p, l)
-				if err != nil {
-					continue
+				if l > 1 && !shrunk {
+					continue // the same coverage as (p, l-1)
 				}
-				rows = append(rows, row{
-					mask:    Bitmask{Mask: mask, Pointer: p},
-					covered: cov,
-					count:   count,
-				})
+				rs.add(c, row{target: int32(ti), pointer: int32(p), length: int32(l), count: int32(count)})
 			}
+			active = kept
 		}
 	}
-	return rows
+	price := make([]time.Duration, len(t.tags)+1) // C(count), computed on first use
+	for i := range rs.list {
+		r := &rs.list[i]
+		if price[r.count] == 0 {
+			price[r.count] = t.cfg.Cost.Cost(int(r.count))
+		}
+		r.cost = price[r.count]
+	}
+	return rs
 }
 
 // PlanMask is one selected bitmask with its coverage accounting.
@@ -294,47 +382,52 @@ func (t *IndexTable) Select(targets []epc.EPC) (Plan, error) {
 		return Plan{}, fmt.Errorf("schedule: no targets")
 	}
 	idxs := make([]int, 0, len(targets))
-	seen := make(map[int]struct{}, len(targets))
+	targetSet := newBitmap(len(t.tags))
 	for _, code := range targets {
-		i, ok := t.index[code]
+		i, ok := slices.BinarySearchFunc(t.tags, code, epc.Compare)
 		if !ok {
 			return Plan{}, fmt.Errorf("%w: %s", ErrUnknownTarget, code)
 		}
-		if _, dup := seen[i]; dup {
+		if targetSet.get(i) {
 			continue
 		}
-		seen[i] = struct{}{}
+		targetSet.set(i)
 		idxs = append(idxs, i)
 	}
 
-	rows := t.buildRows(idxs)
-	targetSet := newBitmap(len(t.tags))
-	for _, i := range idxs {
-		targetSet.set(i)
+	rs := t.buildRows(idxs)
+	// live lists the rows that still cover an uncovered target, in
+	// enumeration order; a row whose gain reaches 0 never regains any.
+	live := make([]int, len(rs.list))
+	for r := range live {
+		live[r] = r
 	}
 
 	// Greedy iterations over the input indicator V.
-	v := append(bitmap(nil), targetSet...)
+	v := slices.Clone(targetSet)
 	var plan Plan
 	coveredAll := newBitmap(len(t.tags))
-	for v.popcount() > 0 {
+	var best []int
+	for uncovered := len(idxs); uncovered > 0; {
 		bestR := -1.0
-		var best []int
-		for ri := range rows {
-			gain := rows[ri].covered.andCount(v)
+		best = best[:0]
+		kept := live[:0]
+		for _, r := range live {
+			gain := rs.coverage(r).andCount(v)
 			if gain == 0 {
 				continue
 			}
-			r := float64(gain) / float64(t.cfg.Cost.Cost(rows[ri].count))
+			kept = append(kept, r)
+			ratio := float64(gain) / float64(rs.list[r].cost)
 			switch {
-			case r > bestR:
-				bestR = r
-				best = best[:0]
-				best = append(best, ri)
-			case r == bestR:
-				best = append(best, ri)
+			case ratio > bestR:
+				bestR = ratio
+				best = append(best[:0], r)
+			case ratio == bestR:
+				best = append(best, r)
 			}
 		}
+		live = kept
 		if len(best) == 0 {
 			return Plan{}, fmt.Errorf("schedule: uncoverable targets remain (internal invariant violated)")
 		}
@@ -342,26 +435,26 @@ func (t *IndexTable) Select(targets []epc.EPC) (Plan, error) {
 		if t.cfg.Rand != nil && len(best) > 1 {
 			pick = best[t.cfg.Rand.Intn(len(best))]
 		}
-		r := rows[pick]
+		r, cov := rs.list[pick], rs.coverage(pick)
+		mask, err := t.tags[r.target].Slice(int(r.pointer), int(r.length))
+		if err != nil {
+			return Plan{}, fmt.Errorf("schedule: %w", err)
+		}
+		gain := cov.andCount(v)
 		plan.Masks = append(plan.Masks, PlanMask{
-			Bitmask:    r.mask,
-			Covered:    r.count,
-			TargetGain: r.covered.andCount(v),
-			Cost:       t.cfg.Cost.Cost(r.count),
+			Bitmask:    Bitmask{Mask: mask, Pointer: int(r.pointer)},
+			Covered:    int(r.count),
+			TargetGain: gain,
+			Cost:       r.cost,
 		})
-		plan.TotalCost += t.cfg.Cost.Cost(r.count)
+		plan.TotalCost += r.cost
 		for i := range coveredAll {
-			coveredAll[i] |= r.covered[i]
+			coveredAll[i] |= cov[i]
 		}
-		v.clear(r.covered)
+		v.clear(cov)
+		uncovered -= gain
 	}
-	plan.Collateral = coveredAll.popcount() - func() int {
-		var c int
-		for i := range coveredAll {
-			c += bits.OnesCount64(coveredAll[i] & targetSet[i])
-		}
-		return c
-	}()
+	plan.Collateral = coveredAll.popcount() - coveredAll.andCount(targetSet)
 
 	// Worst-case fallback (§5.2): n' exact-EPC rounds.
 	plan.NaiveCost = time.Duration(len(idxs)) * t.cfg.Cost.Cost(1)

@@ -2,13 +2,17 @@ package schedule
 
 import (
 	"errors"
+	"fmt"
+	"math/bits"
 	"math/rand"
+	"reflect"
 	"testing"
 	"time"
 
 	"tagwatch/internal/aloha"
 	"tagwatch/internal/epc"
 	"tagwatch/internal/gen2"
+	"tagwatch/internal/scenario"
 )
 
 func table(t *testing.T, cfg Config, pop []epc.EPC) *IndexTable {
@@ -456,4 +460,329 @@ func TestSGTINPopulationCollapsesPerProduct(t *testing.T) {
 	if plan.TotalCost >= plan.NaiveCost {
 		t.Fatalf("plan cost %v must beat naive %v", plan.TotalCost, plan.NaiveCost)
 	}
+}
+
+// epcWords is an EPC code packed into 64-bit words, MSB first,
+// zero-padded.
+type epcWords [2]uint64
+
+func packEPC(code epc.EPC) (epcWords, bool) {
+	if code.Bits() > 128 {
+		return epcWords{}, false
+	}
+	var w epcWords
+	for i, b := range code.Bytes() {
+		w[i/8] |= uint64(b) << (56 - 8*(i%8))
+	}
+	return w, true
+}
+
+// windowMask returns words with ones at bit positions [p, p+l).
+func windowMask(p, l int) epcWords {
+	var m epcWords
+	for i := p; i < p+l; i++ {
+		m[i/64] |= 1 << (63 - i%64)
+	}
+	return m
+}
+
+func (b bitmap) key() string {
+	buf := make([]byte, 8*len(b))
+	for i, w := range b {
+		for j := 0; j < 8; j++ {
+			buf[8*i+j] = byte(w >> (8 * j))
+		}
+	}
+	return string(buf)
+}
+
+// refRow is one candidate bitmask of referenceSelect.
+type refRow struct {
+	mask    Bitmask
+	covered bitmap
+	count   int
+}
+
+// referenceSelect is the planner Select replaced, kept as its oracle: it
+// tests every window S(m, p, l) of every target against every tag,
+// deduplicates windows through a map keyed by their coverage bytes, and
+// rescans every row in each greedy iteration. Select must return exactly
+// its plans and errors.
+func referenceSelect(t *IndexTable, targets []epc.EPC) (Plan, error) {
+	if len(targets) == 0 {
+		return Plan{}, fmt.Errorf("schedule: no targets")
+	}
+	index := make(map[epc.EPC]int, len(t.tags))
+	packed := make([]epcWords, len(t.tags))
+	for i, code := range t.tags {
+		index[code] = i
+		packed[i], _ = packEPC(code)
+	}
+	idxs := make([]int, 0, len(targets))
+	seen := make(map[int]struct{}, len(targets))
+	for _, code := range targets {
+		i, ok := index[code]
+		if !ok {
+			return Plan{}, fmt.Errorf("%w: %s", ErrUnknownTarget, code)
+		}
+		if _, dup := seen[i]; dup {
+			continue
+		}
+		seen[i] = struct{}{}
+		idxs = append(idxs, i)
+	}
+
+	rows := referenceRows(t, packed, idxs)
+	targetSet := newBitmap(len(t.tags))
+	for _, i := range idxs {
+		targetSet.set(i)
+	}
+
+	v := append(bitmap(nil), targetSet...)
+	var plan Plan
+	coveredAll := newBitmap(len(t.tags))
+	for v.popcount() > 0 {
+		bestR := -1.0
+		var best []int
+		for ri := range rows {
+			gain := rows[ri].covered.andCount(v)
+			if gain == 0 {
+				continue
+			}
+			r := float64(gain) / float64(t.cfg.Cost.Cost(rows[ri].count))
+			switch {
+			case r > bestR:
+				bestR = r
+				best = best[:0]
+				best = append(best, ri)
+			case r == bestR:
+				best = append(best, ri)
+			}
+		}
+		if len(best) == 0 {
+			return Plan{}, fmt.Errorf("schedule: uncoverable targets remain (internal invariant violated)")
+		}
+		pick := best[0]
+		if t.cfg.Rand != nil && len(best) > 1 {
+			pick = best[t.cfg.Rand.Intn(len(best))]
+		}
+		r := rows[pick]
+		plan.Masks = append(plan.Masks, PlanMask{
+			Bitmask:    r.mask,
+			Covered:    r.count,
+			TargetGain: r.covered.andCount(v),
+			Cost:       t.cfg.Cost.Cost(r.count),
+		})
+		plan.TotalCost += t.cfg.Cost.Cost(r.count)
+		for i := range coveredAll {
+			coveredAll[i] |= r.covered[i]
+		}
+		v.clear(r.covered)
+	}
+	plan.Collateral = coveredAll.popcount() - func() int {
+		var c int
+		for i := range coveredAll {
+			c += bits.OnesCount64(coveredAll[i] & targetSet[i])
+		}
+		return c
+	}()
+
+	plan.NaiveCost = time.Duration(len(idxs)) * t.cfg.Cost.Cost(1)
+	if plan.TotalCost > plan.NaiveCost {
+		naive := t.NaivePlan(targets)
+		naive.NaiveCost = plan.NaiveCost
+		naive.UsedNaive = true
+		return naive, nil
+	}
+	return plan, nil
+}
+
+// referenceRows enumerates every substring S(m, p, l) of every target EPC,
+// deduplicated by coverage, for referenceSelect.
+func referenceRows(t *IndexTable, packed []epcWords, targets []int) []refRow {
+	maxLen := t.cfg.MaxLen
+	if maxLen <= 0 || maxLen > t.bits {
+		maxLen = t.bits
+	}
+	seen := make(map[string]struct{})
+	var rows []refRow
+	for _, ti := range targets {
+		tw := packed[ti]
+		for l := 1; l <= maxLen; l++ {
+			for p := 0; p+l <= t.bits; p += t.cfg.PointerStride {
+				wm := windowMask(p, l)
+				cov := newBitmap(len(t.tags))
+				count := 0
+				for i, pw := range packed {
+					if (pw[0]^tw[0])&wm[0] == 0 && (pw[1]^tw[1])&wm[1] == 0 {
+						cov.set(i)
+						count++
+					}
+				}
+				k := cov.key()
+				if _, dup := seen[k]; dup {
+					continue
+				}
+				seen[k] = struct{}{}
+				mask, err := t.tags[ti].Slice(p, l)
+				if err != nil {
+					continue
+				}
+				rows = append(rows, refRow{
+					mask:    Bitmask{Mask: mask, Pointer: p},
+					covered: cov,
+					count:   count,
+				})
+			}
+		}
+	}
+	return rows
+}
+
+// assertMatchesReference plans the targets with Select and with
+// referenceSelect on separate tables, each given an identically seeded
+// tie-break source when seed is non-zero, and requires identical plans
+// and errors.
+func assertMatchesReference(t *testing.T, name string, cfg Config, pop, targets []epc.EPC, seed int64) {
+	t.Helper()
+	build := func() *IndexTable {
+		c := cfg
+		if seed != 0 {
+			c.Rand = rand.New(rand.NewSource(seed))
+		}
+		return table(t, c, pop)
+	}
+	got, gotErr := build().Select(targets)
+	want, wantErr := referenceSelect(build(), targets)
+	if fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+		t.Fatalf("%s: Select error %v, reference error %v", name, gotErr, wantErr)
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("%s: plans differ\nSelect:    %+v\nreference: %+v", name, got, want)
+	}
+}
+
+// prefixPopulation draws up to n unique EPCs in a few groups; each
+// group's tags share a random prefix of about two thirds of the EPC, the
+// way SGTINs of one product share company and item fields. Short EPCs
+// hold fewer than n such tags.
+func prefixPopulation(rng *rand.Rand, n, bitLen int) []epc.EPC {
+	groups := make([][]byte, 1+rng.Intn(5))
+	prefix := bitLen*2/3 - rng.Intn(bitLen/4+1)
+	if free := bitLen - prefix; free < 16 {
+		n = min(n, len(groups)<<free/2) // stay well short of the groups' capacity
+	}
+	for g := range groups {
+		groups[g] = make([]byte, (bitLen+7)/8)
+		rng.Read(groups[g])
+	}
+	seen := make(map[epc.EPC]bool, n)
+	var pop []epc.EPC
+	for len(pop) < n {
+		buf := make([]byte, (bitLen+7)/8)
+		rng.Read(buf)
+		g := groups[rng.Intn(len(groups))]
+		for i := 0; i < prefix; i++ {
+			m := byte(0x80) >> (i % 8)
+			buf[i/8] = buf[i/8]&^m | g[i/8]&m
+		}
+		code, err := epc.NewBits(buf, bitLen)
+		if err != nil {
+			panic(err)
+		}
+		if !seen[code] {
+			seen[code] = true
+			pop = append(pop, code)
+		}
+	}
+	return pop
+}
+
+// pickTargets draws k targets from pop with replacement, so duplicates
+// occur, and repeats the first one at the end.
+func pickTargets(rng *rand.Rand, pop []epc.EPC, k int) []epc.EPC {
+	targets := make([]epc.EPC, k)
+	for i := range targets {
+		targets[i] = pop[rng.Intn(len(pop))]
+	}
+	return append(targets, targets[0])
+}
+
+func TestSelectMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	lengths := []int{12, 24, 64, 96, 128}
+	costs := []aloha.CostModel{
+		aloha.PaperCostModel(),
+		{Tau0: 0, TauBar: 180 * time.Microsecond}, // no start-up cost: collateral only hurts
+		{Tau0: 19 * time.Millisecond, TauBar: time.Millisecond},
+	}
+	for c := 0; c < 300; c++ {
+		bitLen := lengths[rng.Intn(len(lengths))]
+		n := 2 + rng.Intn(399)
+		if bitLen == 12 {
+			n = 2 + rng.Intn(200) // a 12-bit space holds a sparse 400 poorly
+		}
+		var pop []epc.EPC
+		if rng.Intn(2) == 0 {
+			var err error
+			if pop, err = epc.RandomPopulation(rng, n, bitLen); err != nil {
+				t.Fatal(err)
+			}
+		} else {
+			pop = prefixPopulation(rng, n, bitLen)
+		}
+		cfg := DefaultConfig()
+		cfg.Cost = costs[rng.Intn(len(costs))]
+		if rng.Intn(3) == 0 {
+			cfg.MaxLen = 1 + rng.Intn(bitLen)
+		}
+		cfg.PointerStride = 1 + rng.Intn(9)
+		targets := pickTargets(rng, pop, 1+rng.Intn(min(n, 12)))
+		if rng.Intn(20) == 0 {
+			// An outsider: both sides must refuse it the same way.
+			targets = append(targets, epc.FromUint64(uint64(rng.Intn(1<<12)), 12))
+		}
+		seed := int64(0)
+		if rng.Intn(2) == 0 {
+			seed = rng.Int63() | 1
+		}
+		name := fmt.Sprintf("case %d (n=%d bits=%d maxLen=%d stride=%d targets=%d seed=%d)",
+			c, len(pop), bitLen, cfg.MaxLen, cfg.PointerStride, len(targets), seed)
+		assertMatchesReference(t, name, cfg, pop, targets, seed)
+	}
+
+	// SGTIN-96 shelves: runs of serials per product share 58 bits.
+	for c := 0; c < 10; c++ {
+		var pop []epc.EPC
+		products := 1 + uint64(rng.Intn(4))
+		for prod := uint64(0); prod < products; prod++ {
+			p, err := epc.SGTINPopulation(703710, 100000+prod, 5, uint64(rng.Intn(1000)), 20+rng.Intn(60))
+			if err != nil {
+				t.Fatal(err)
+			}
+			pop = append(pop, p...)
+		}
+		targets := pickTargets(rng, pop, 1+rng.Intn(10))
+		assertMatchesReference(t, fmt.Sprintf("sgtin %d", c), DefaultConfig(), pop, targets, int64(c))
+	}
+
+	// Every scenario pack's EPC population, as its scene is built.
+	for _, p := range scenario.Packs() {
+		scn, err := p.BuildScene(rand.New(rand.NewSource(5)), 300)
+		if err != nil {
+			t.Fatalf("%s: %v", p.Name, err)
+		}
+		pop := make([]epc.EPC, len(scn.Tags))
+		for i, tag := range scn.Tags {
+			pop[i] = tag.EPC
+		}
+		for c := 0; c < 3; c++ {
+			targets := pickTargets(rng, pop, 1+rng.Intn(min(len(pop), 15)))
+			assertMatchesReference(t, fmt.Sprintf("%s %d", p.Name, c), DefaultConfig(), pop, targets, int64(c))
+		}
+	}
+
+	// Errors agree on the empty target list too.
+	pop, _ := epc.RandomPopulation(rng, 8, 96)
+	assertMatchesReference(t, "no targets", DefaultConfig(), pop, nil, 0)
 }
