@@ -9,7 +9,7 @@
 STATICCHECK = go run honnef.co/go/tools/cmd/staticcheck@2025.1.1
 GOVULNCHECK = go run golang.org/x/vuln/cmd/govulncheck@v1.1.4
 
-.PHONY: all build check lint lint-offline test race chaos crash soak fuzz-smoke bench bench-check replay-smoke failover-drill gauntlet gauntlet-smoke edge-smoke vettool clean
+.PHONY: all build check lint lint-offline test race chaos crash soak fuzz-smoke bench bench-check perfbench-test replay-smoke failover-drill gauntlet gauntlet-smoke edge-smoke vettool clean
 
 all: build
 
@@ -72,13 +72,13 @@ fuzz-smoke:
 
 # The perf-trajectory rig: the core data-plane benchmarks (wire codec,
 # schedule solver, motion model, EPC ops, WAL append, registry merge,
-# scenario compile, event-bus fan-out and ring replay) rendered as
-# BENCH_core.json. The file is checked in
+# scenario compile, event-bus fan-out, ring replay and the reading
+# history write) rendered as BENCH_core.json. The file is checked in
 # per PR and uploaded as a CI artifact, so ns/op / B/op / allocs/op form
 # a reviewable trajectory across the repo's history. Absolute numbers
 # vary by machine; the allocation counts should not.
-BENCH_PKGS = ./internal/llrp ./internal/schedule ./internal/motion ./internal/epc ./internal/statestore ./internal/fleet ./internal/scenario
-BENCH_SEL  = 'ROAccessReport|Select40Tags|Select400Tags|NewIndexTable|ObserveStationary|ObserveMoving|Peek|CRC16|MatchBits|WALAppend|JournalStream|RegistryObserve|CompileTimeline|BusPublishFanout|RingReplay'
+BENCH_PKGS = ./internal/llrp ./internal/schedule ./internal/motion ./internal/epc ./internal/statestore ./internal/fleet ./internal/scenario ./internal/core
+BENCH_SEL  = 'ROAccessReport|Select40Tags|Select400Tags|NewIndexTable|ObserveStationary|ObserveMoving|Peek|CRC16|MatchBits|WALAppend|JournalStream|RegistryObserve|CompileTimeline|BusPublishFanout|RingReplay|HistoryAdd'
 bench:
 	go test -run '^$$' -bench $(BENCH_SEL) -benchmem -benchtime=0.2s $(BENCH_PKGS) | go run ./cmd/benchjson > BENCH_core.json
 	@cat BENCH_core.json
@@ -92,6 +92,13 @@ bench-check:
 	@tmp=$$(mktemp) && trap 'rm -f "$$tmp"' EXIT && \
 	go test -run '^$$' -bench $(BENCH_SEL) -benchmem -benchtime=0.2s $(BENCH_PKGS) > "$$tmp" && \
 	go run ./cmd/benchjson -compare BENCH_core.json < "$$tmp"
+
+# The repo benchmark's own tests. perfbench/ is a separate module that
+# imports internal/*, so the root `go test ./...` never builds it: a core
+# API change that breaks the benchmark shows up here, not at the next
+# benchmark run.
+perfbench-test:
+	cd perfbench && go test -race ./...
 
 # The replay determinism gate: the retail-rush pack streamed through a
 # real fleet at 100x virtual time, twice, under the race detector; the

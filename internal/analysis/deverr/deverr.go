@@ -1,8 +1,8 @@
 // Package deverr enforces the error-propagation invariant introduced
 // with the error-aware cycle pipeline: failures from the device and
 // transport layers must never be silently dropped. A core.Device that
-// returns an error alongside partial readings is reporting "the link is
-// dying", and a call site that discards it turns a dying transport back
+// returns an error after emitting partial readings is reporting "the link
+// is dying", and a call site that discards it turns a dying transport back
 // into an invisible empty RF field — exactly the bug class the pipeline
 // was built to kill.
 //
@@ -16,7 +16,7 @@
 // llrp.Conn/Server/Proxy, the fleet manager/bus/registry, the durable
 // statestore.Store and core.Checkpointer) and discard
 // every result — a bare expression statement or a `go` statement.
-// Assigning the error to blank (`_ = dev.ReadAll()`-style) is treated
+// Assigning the error to blank (`_ = dev.ReadAll(emit)`-style) is treated
 // as a reviewed, deliberate drop and stays legal, as do `Close`
 // methods (teardown is best-effort by convention; CloseConnection,
 // which performs the LLRP handshake, is still checked).

@@ -17,15 +17,15 @@ import (
 )
 
 func drops(dev core.Device, sim *core.SimDevice, c *llrp.Conn, m *fleet.Manager, ctx context.Context, lis net.Listener) {
-	dev.ReadAll()           // want `error from \(tagwatch/internal/core.Device\).ReadAll is silently dropped`
-	sim.ReadSelective(0)    // want `error from \(tagwatch/internal/core.SimDevice\).ReadSelective is silently dropped`
-	c.StartROSpec(ctx, 1)   // want `error from \(tagwatch/internal/llrp.Conn\).StartROSpec is silently dropped`
-	go c.StopROSpec(ctx, 1) // want `error from \(tagwatch/internal/llrp.Conn\).StopROSpec is silently dropped`
-	m.Serve(ctx, lis)       // want `error from \(tagwatch/internal/fleet.Manager\).Serve is silently dropped`
+	dev.ReadAll(nil)          // want `error from \(tagwatch/internal/core.Device\).ReadAll is silently dropped`
+	sim.ReadSelective(0, nil) // want `error from \(tagwatch/internal/core.SimDevice\).ReadSelective is silently dropped`
+	c.StartROSpec(ctx, 1)     // want `error from \(tagwatch/internal/llrp.Conn\).StartROSpec is silently dropped`
+	go c.StopROSpec(ctx, 1)   // want `error from \(tagwatch/internal/llrp.Conn\).StopROSpec is silently dropped`
+	m.Serve(ctx, lis)         // want `error from \(tagwatch/internal/fleet.Manager\).Serve is silently dropped`
 }
 
 func handled(dev core.Device) error {
-	if _, err := dev.ReadAll(); err != nil {
+	if err := dev.ReadAll(nil); err != nil {
 		return err
 	}
 	return nil
@@ -33,7 +33,7 @@ func handled(dev core.Device) error {
 
 // Assigning to blank is a reviewed, deliberate discard: legal.
 func deliberate(dev core.Device) {
-	_, _ = dev.ReadAll()
+	_ = dev.ReadAll(nil)
 }
 
 // Close is exempt by convention — teardown is best-effort.
@@ -62,7 +62,7 @@ func unwatched(o other) {
 }
 
 func excused(dev core.Device) {
-	dev.ReadAll() //tagwatch:allow-droppederr fixture: proves the escape hatch
+	dev.ReadAll(nil) //tagwatch:allow-droppederr fixture: proves the escape hatch
 }
 
 // Durability writers: a dropped error means state the caller believes

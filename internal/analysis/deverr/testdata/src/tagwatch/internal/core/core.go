@@ -7,16 +7,16 @@ import "time"
 type Reading struct{}
 
 type Device interface {
-	ReadAll() ([]Reading, error)
-	ReadSelective(dwell time.Duration) ([]Reading, error)
+	ReadAll(emit func([]Reading)) error
+	ReadSelective(dwell time.Duration, emit func([]Reading)) error
 	Now() time.Duration
 }
 
 type SimDevice struct{}
 
-func (d *SimDevice) ReadAll() ([]Reading, error)                          { return nil, nil }
-func (d *SimDevice) ReadSelective(dwell time.Duration) ([]Reading, error) { return nil, nil }
-func (d *SimDevice) Now() time.Duration                                   { return 0 }
+func (d *SimDevice) ReadAll(emit func([]Reading)) error                            { return nil }
+func (d *SimDevice) ReadSelective(dwell time.Duration, emit func([]Reading)) error { return nil }
+func (d *SimDevice) Now() time.Duration                                            { return 0 }
 
 type Checkpointer struct{}
 

@@ -18,7 +18,8 @@ import (
 )
 
 // fakeDevice scripts Device behaviour per call: a frozen or advancing
-// clock and canned ReadAll/ReadSelective results.
+// clock and canned ReadAll/ReadSelective results, emitted as one batch
+// before the scripted error is returned.
 type fakeDevice struct {
 	now       time.Duration
 	readAll   func(call int) ([]Reading, error)
@@ -29,20 +30,22 @@ type fakeDevice struct {
 
 func (d *fakeDevice) Now() time.Duration { return d.now }
 
-func (d *fakeDevice) ReadAll() ([]Reading, error) {
+func (d *fakeDevice) ReadAll(emit func([]Reading)) error {
 	d.allCalls++
 	if d.readAll == nil {
-		return nil, nil
+		return nil
 	}
-	return d.readAll(d.allCalls)
+	reads, err := d.readAll(d.allCalls)
+	return emitOnce(emit, reads, err)
 }
 
-func (d *fakeDevice) ReadSelective(masks []schedule.Bitmask, dwell time.Duration) ([]Reading, error) {
+func (d *fakeDevice) ReadSelective(masks []schedule.Bitmask, dwell time.Duration, emit func([]Reading)) error {
 	d.selCalls++
 	if d.selective == nil {
-		return nil, nil
+		return nil
 	}
-	return d.selective(masks, dwell)
+	reads, err := d.selective(masks, dwell)
+	return emitOnce(emit, reads, err)
 }
 
 func testEPC(t *testing.T, hex string) epc.EPC {

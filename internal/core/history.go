@@ -1,7 +1,7 @@
 package core
 
 import (
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -9,9 +9,11 @@ import (
 )
 
 // History is the reading database the middleware maintains for upper
-// applications: a bounded per-tag ring of recent readings plus lifetime
-// counters (the "history database" of Fig. 5). It is safe for concurrent
-// use: cycle loops write while serving layers read.
+// applications: a bounded per-tag ring of recent reading times plus
+// lifetime counters (the "history database" of Fig. 5). It keeps device
+// timestamps, not whole readings: that is all the IRR estimate needs. It
+// is safe for concurrent use: cycle loops write while serving layers
+// read.
 type History struct {
 	mu    sync.RWMutex
 	depth int
@@ -19,11 +21,17 @@ type History struct {
 }
 
 type tagHistory struct {
-	ring     []Reading
+	// times is the ring of recent reading times: it grows to the depth,
+	// then wraps, with start indexing the oldest entry.
+	times    []time.Duration
 	start    int
-	count    int
 	total    uint64
 	lastSeen time.Duration
+}
+
+// at returns the i-th oldest retained reading time.
+func (th *tagHistory) at(i int) time.Duration {
+	return th.times[(th.start+i)%len(th.times)]
 }
 
 // NewHistory builds a history retaining up to depth readings per tag.
@@ -40,37 +48,34 @@ func (h *History) Add(r Reading) {
 	defer h.mu.Unlock()
 	th, ok := h.tags[r.EPC]
 	if !ok {
-		th = &tagHistory{ring: make([]Reading, h.depth)}
+		th = &tagHistory{}
 		h.tags[r.EPC] = th
 	}
-	idx := (th.start + th.count) % h.depth
-	if th.count == h.depth {
-		th.start = (th.start + 1) % h.depth
-		idx = (th.start + th.count - 1) % h.depth
+	if len(th.times) < h.depth {
+		th.times = append(th.times, r.Time)
 	} else {
-		th.count++
+		th.times[th.start] = r.Time
+		th.start = (th.start + 1) % h.depth
 	}
-	th.ring[idx] = r
 	th.total++
 	if r.Time > th.lastSeen {
 		th.lastSeen = r.Time
 	}
 }
 
-// Recent returns up to n most-recent readings of a tag, oldest first.
-func (h *History) Recent(code epc.EPC, n int) []Reading {
+// Recent returns the times of up to n most-recent readings of a tag,
+// oldest first.
+func (h *History) Recent(code epc.EPC, n int) []time.Duration {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	th, ok := h.tags[code]
 	if !ok || n <= 0 {
 		return nil
 	}
-	if n > th.count {
-		n = th.count
-	}
-	out := make([]Reading, n)
-	for i := 0; i < n; i++ {
-		out[i] = th.ring[(th.start+th.count-n+i)%h.depth]
+	n = min(n, len(th.times))
+	out := make([]time.Duration, n)
+	for i := range out {
+		out[i] = th.at(len(th.times) - n + i)
 	}
 	return out
 }
@@ -97,7 +102,7 @@ func (h *History) LastSeen(code epc.EPC) (time.Duration, bool) {
 	return th.lastSeen, true
 }
 
-// Tags returns all known tags, sorted for determinism.
+// Tags returns all known tags in EPC byte order.
 func (h *History) Tags() []epc.EPC {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
@@ -105,7 +110,7 @@ func (h *History) Tags() []epc.EPC {
 	for code := range h.tags {
 		out = append(out, code)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].String() < out[j].String() })
+	slices.SortFunc(out, epc.Compare)
 	return out
 }
 
@@ -115,16 +120,14 @@ func (h *History) IRR(code epc.EPC) float64 {
 	h.mu.RLock()
 	defer h.mu.RUnlock()
 	th, ok := h.tags[code]
-	if !ok || th.count < 2 {
+	if !ok || len(th.times) < 2 {
 		return 0
 	}
-	first := th.ring[th.start]
-	last := th.ring[(th.start+th.count-1)%h.depth]
-	span := last.Time - first.Time
+	span := th.at(len(th.times)-1) - th.at(0)
 	if span <= 0 {
 		return 0
 	}
-	return float64(th.count-1) / span.Seconds()
+	return float64(len(th.times)-1) / span.Seconds()
 }
 
 // Prune drops tags unseen since the cutoff, returning how many were

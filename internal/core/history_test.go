@@ -26,7 +26,7 @@ func TestHistoryAddAndRecent(t *testing.T) {
 		t.Fatalf("recent = %d, want 3", len(recent))
 	}
 	for i := 1; i < len(recent); i++ {
-		if recent[i].Time < recent[i-1].Time {
+		if recent[i] < recent[i-1] {
 			t.Fatal("recent must be oldest-first")
 		}
 	}
@@ -47,8 +47,8 @@ func TestHistoryRingWraps(t *testing.T) {
 	if len(recent) != 4 {
 		t.Fatalf("depth-4 ring holds %d", len(recent))
 	}
-	if recent[0].Time != 6*time.Second || recent[3].Time != 9*time.Second {
-		t.Fatalf("ring window wrong: %v .. %v", recent[0].Time, recent[3].Time)
+	if recent[0] != 6*time.Second || recent[3] != 9*time.Second {
+		t.Fatalf("ring window wrong: %v .. %v", recent[0], recent[3])
 	}
 	if h.Total(htagA) != 10 {
 		t.Fatalf("total = %d, want 10", h.Total(htagA))
@@ -111,5 +111,22 @@ func TestHistoryDefaultDepth(t *testing.T) {
 	h := NewHistory(0)
 	if h.depth != 256 {
 		t.Fatalf("default depth = %d", h.depth)
+	}
+}
+
+// BenchmarkHistoryAdd is the per-reading history write in steady state:
+// a known tag whose ring is already full, so Add allocates nothing.
+func BenchmarkHistoryAdd(b *testing.B) {
+	h := NewHistory(256)
+	rd := r(htagA, 0)
+	for i := 0; i < 256; i++ {
+		rd.Time = time.Duration(i) * time.Millisecond
+		h.Add(rd)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		rd.Time += time.Millisecond
+		h.Add(rd)
 	}
 }

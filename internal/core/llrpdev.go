@@ -15,7 +15,8 @@ import (
 // LLRPDevice drives a reader over the LLRP wire protocol — the production
 // transport of the paper's prototype (ImpinJ LTK → here our own LLRP
 // client). Each ReadAll/ReadSelective call compiles to one ROSpec,
-// executes it, and drains the report stream.
+// executes it, and emits the report stream one RO_ACCESS_REPORT at a
+// time until the ROSpec ends.
 type LLRPDevice struct {
 	// Conn is an established LLRP connection.
 	Conn *llrp.Conn
@@ -59,35 +60,37 @@ func NewLLRPDevice(conn *llrp.Conn) *LLRPDevice {
 func (d *LLRPDevice) Now() time.Duration { return d.latest }
 
 // ReadAll implements Device.
-func (d *LLRPDevice) ReadAll() ([]Reading, error) {
+func (d *LLRPDevice) ReadAll(emit func([]Reading)) error {
 	spec := d.buildSpec(nil, d.PhaseIDwell, d.PhaseIDwell)
-	reads, err := d.runSpec(spec)
-	if d.AdaptPhaseI {
-		distinct := make(map[epc.EPC]struct{}, len(reads))
-		for _, r := range reads {
+	if !d.AdaptPhaseI {
+		return d.runSpec(spec, emit)
+	}
+	distinct := make(map[epc.EPC]struct{})
+	err := d.runSpec(spec, func(batch []Reading) {
+		for _, r := range batch {
 			distinct[r.EPC] = struct{}{}
 		}
-		if n := len(distinct); n > 0 {
-			dwell := 3 * aloha.PaperCostModel().Cost(n) / 2
-			if dwell < 100*time.Millisecond {
-				dwell = 100 * time.Millisecond
-			}
-			if dwell > 2*time.Second {
-				dwell = 2 * time.Second
-			}
-			d.PhaseIDwell = dwell
+		emit(batch)
+	})
+	if n := len(distinct); n > 0 {
+		dwell := 3 * aloha.PaperCostModel().Cost(n) / 2
+		if dwell < 100*time.Millisecond {
+			dwell = 100 * time.Millisecond
 		}
+		if dwell > 2*time.Second {
+			dwell = 2 * time.Second
+		}
+		d.PhaseIDwell = dwell
 	}
-	return reads, err
+	return err
 }
 
 // ReadSelective implements Device.
-func (d *LLRPDevice) ReadSelective(masks []schedule.Bitmask, dwell time.Duration) ([]Reading, error) {
+func (d *LLRPDevice) ReadSelective(masks []schedule.Bitmask, dwell time.Duration, emit func([]Reading)) error {
 	if len(masks) == 0 || dwell <= 0 {
-		return nil, nil
+		return nil
 	}
-	spec := d.buildSpec(masks, d.MaskSlice, dwell)
-	return d.runSpec(spec)
+	return d.runSpec(d.buildSpec(masks, d.MaskSlice, dwell), emit)
 }
 
 // buildSpec compiles bitmasks into an ROSpec: one AISpec per bitmask
@@ -133,24 +136,24 @@ func (d *LLRPDevice) buildSpec(masks []schedule.Bitmask, slice, total time.Durat
 	return spec
 }
 
-// runSpec installs, runs and drains one ROSpec, then deletes it. The
-// error reports transport failure — control operations rejected or timed
-// out, or the connection dying mid-spec — alongside whatever readings
-// arrived first. A clean drain (end event or idle gap) is not an error.
-func (d *LLRPDevice) runSpec(spec llrp.ROSpec) ([]Reading, error) {
+// runSpec installs, runs and drains one ROSpec, then deletes it,
+// emitting each RO_ACCESS_REPORT as it arrives. The error reports
+// transport failure — control operations rejected or timed out, or the
+// connection dying mid-spec — after whatever reports arrived first were
+// emitted. A clean drain (end event or idle gap) is not an error.
+func (d *LLRPDevice) runSpec(spec llrp.ROSpec, emit func([]Reading)) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := d.Conn.AddROSpec(ctx, spec); err != nil {
-		return nil, fmt.Errorf("add ROSpec %d: %w", spec.ID, err)
+		return fmt.Errorf("add ROSpec %d: %w", spec.ID, err)
 	}
 	defer d.Conn.DeleteROSpec(ctx, spec.ID)
 	if err := d.Conn.EnableROSpec(ctx, spec.ID); err != nil {
-		return nil, fmt.Errorf("enable ROSpec %d: %w", spec.ID, err)
+		return fmt.Errorf("enable ROSpec %d: %w", spec.ID, err)
 	}
 	if err := d.Conn.StartROSpec(ctx, spec.ID); err != nil {
-		return nil, fmt.Errorf("start ROSpec %d: %w", spec.ID, err)
+		return fmt.Errorf("start ROSpec %d: %w", spec.ID, err)
 	}
-	var out []Reading
 	idle := d.IdleGap
 	if idle <= 0 {
 		idle = 150 * time.Millisecond
@@ -163,6 +166,16 @@ func (d *LLRPDevice) runSpec(spec llrp.ROSpec) ([]Reading, error) {
 		}
 		return fmt.Errorf("report stream closed mid-ROSpec")
 	}
+	// report converts and emits one RO_ACCESS_REPORT; the conn drops
+	// empty ones.
+	var buf []Reading
+	report := func(batch []llrp.TagReportData) {
+		buf = buf[:0]
+		for _, tr := range batch {
+			buf = append(buf, d.toReading(tr))
+		}
+		emit(buf)
+	}
 	deadline := time.After(30 * time.Second)
 	drain := func(gap time.Duration) {
 		for {
@@ -171,9 +184,7 @@ func (d *LLRPDevice) runSpec(spec llrp.ROSpec) ([]Reading, error) {
 				if !ok {
 					return
 				}
-				for _, tr := range batch {
-					out = append(out, d.toReading(tr))
-				}
+				report(batch)
 			case <-time.After(gap):
 				return
 			}
@@ -183,34 +194,32 @@ func (d *LLRPDevice) runSpec(spec llrp.ROSpec) ([]Reading, error) {
 		select {
 		case batch, ok := <-d.Conn.Reports():
 			if !ok {
-				return out, connErr()
+				return connErr()
 			}
-			for _, tr := range batch {
-				out = append(out, d.toReading(tr))
-			}
+			report(batch)
 		case ev, ok := <-d.Conn.Events():
 			if !ok {
-				return out, connErr()
+				return connErr()
 			}
 			// The reader notifies when a duration-triggered ROSpec ends:
 			// drain in-flight reports briefly and return without waiting
 			// out the idle gap.
 			if ev.ROSpec != nil && ev.ROSpec.Type == llrp.ROSpecEnded && ev.ROSpec.ROSpecID == spec.ID {
 				drain(20 * time.Millisecond)
-				return out, nil
+				return nil
 			}
 		case <-time.After(idle):
 			// Fallback for readers that do not send end events. A stop
 			// failure here means the link is gone, not merely quiet.
 			if err := d.Conn.StopROSpec(ctx, spec.ID); err != nil {
-				return out, fmt.Errorf("stop ROSpec %d after idle gap: %w", spec.ID, err)
+				return fmt.Errorf("stop ROSpec %d after idle gap: %w", spec.ID, err)
 			}
-			return out, nil
+			return nil
 		case <-deadline:
 			// tagwatchvet(deverr): the stop failure is evidence too — it
 			// distinguishes "reader wedged but link alive" from "link dead".
 			stopErr := d.Conn.StopROSpec(ctx, spec.ID)
-			return out, errors.Join(fmt.Errorf("ROSpec %d overran the 30s guard", spec.ID), stopErr)
+			return errors.Join(fmt.Errorf("ROSpec %d overran the 30s guard", spec.ID), stopErr)
 		}
 	}
 }

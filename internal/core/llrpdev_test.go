@@ -16,7 +16,7 @@ import (
 
 // startLLRPRig spins up a reader emulator over TCP plus a connected
 // LLRPDevice.
-func startLLRPRig(t *testing.T, seed int64, n int) (*LLRPDevice, []epc.EPC) {
+func startLLRPRig(t *testing.T, seed int64, n int) (*LLRPDevice, *llrp.Server, []epc.EPC) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	scn := scene.New(rf.NewChannel(rf.DefaultParams(), rng), rng)
@@ -43,13 +43,19 @@ func startLLRPRig(t *testing.T, seed int64, n int) (*LLRPDevice, []epc.EPC) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return NewLLRPDevice(conn), codes
+	return NewLLRPDevice(conn), srv, codes
+}
+
+// collect returns an emit that copies every batch onto *dst: a batch is
+// valid only during the call.
+func collect(dst *[]Reading) func([]Reading) {
+	return func(batch []Reading) { *dst = append(*dst, batch...) }
 }
 
 func TestLLRPDeviceReadAll(t *testing.T) {
-	dev, codes := startLLRPRig(t, 1, 6)
-	reads, err := dev.ReadAll()
-	if err != nil {
+	dev, _, codes := startLLRPRig(t, 1, 6)
+	var reads []Reading
+	if err := dev.ReadAll(collect(&reads)); err != nil {
 		t.Fatalf("ReadAll over a healthy link: %v", err)
 	}
 	seen := map[epc.EPC]int{}
@@ -76,11 +82,11 @@ func TestLLRPDeviceReadAll(t *testing.T) {
 }
 
 func TestLLRPDeviceReadSelective(t *testing.T) {
-	dev, codes := startLLRPRig(t, 2, 8)
+	dev, _, codes := startLLRPRig(t, 2, 8)
 	target := codes[2]
 	masks := []schedule.Bitmask{{Mask: target, Pointer: 0}}
-	reads, err := dev.ReadSelective(masks, 400*time.Millisecond)
-	if err != nil {
+	var reads []Reading
+	if err := dev.ReadSelective(masks, 400*time.Millisecond, collect(&reads)); err != nil {
 		t.Fatalf("ReadSelective over a healthy link: %v", err)
 	}
 	if len(reads) == 0 {
@@ -92,18 +98,57 @@ func TestLLRPDeviceReadSelective(t *testing.T) {
 		}
 	}
 	// Degenerate inputs.
-	if reads, err := dev.ReadSelective(nil, time.Second); reads != nil || err != nil {
+	reads = nil
+	if err := dev.ReadSelective(nil, time.Second, collect(&reads)); reads != nil || err != nil {
 		t.Fatal("no masks must read nothing")
 	}
-	if reads, err := dev.ReadSelective(masks, 0); reads != nil || err != nil {
+	if err := dev.ReadSelective(masks, 0, collect(&reads)); reads != nil || err != nil {
 		t.Fatal("zero dwell must read nothing")
+	}
+}
+
+// TestLLRPDeviceEmitsPerReport: a multi-round selective ROSpec reaches
+// emit one RO_ACCESS_REPORT at a time while it runs, not as one batch at
+// its end, and the batches add up to exactly what the reader read.
+func TestLLRPDeviceEmitsPerReport(t *testing.T) {
+	dev, srv, codes := startLLRPRig(t, 4, 8)
+	masks := []schedule.Bitmask{{Mask: codes[1]}, {Mask: codes[5]}}
+	var batches int
+	var reads []Reading
+	err := dev.ReadSelective(masks, 400*time.Millisecond, func(batch []Reading) {
+		batches++
+		if len(batch) == 0 {
+			t.Error("empty batch emitted")
+		}
+		reads = append(reads, batch...)
+	})
+	if err != nil {
+		t.Fatalf("ReadSelective over a healthy link: %v", err)
+	}
+	if batches < 2 {
+		t.Fatalf("a multi-round ROSpec emitted %d batches, want one per report", batches)
+	}
+	for i, r := range reads {
+		if r.EPC != codes[1] && r.EPC != codes[5] {
+			t.Fatalf("selective reading leaked %s", r.EPC)
+		}
+		if i > 0 && r.Time < reads[i-1].Time {
+			t.Fatalf("reading %d at %v emitted after one at %v", i, r.Time, reads[i-1].Time)
+		}
+	}
+	if last := reads[len(reads)-1].Time; dev.Now() != last {
+		t.Fatalf("device clock %v, want the last reading's %v", dev.Now(), last)
+	}
+	srv.Close() // joins the ROSpec runner, so its engine counters are settled
+	if st := srv.Engine().Stats(); st.Reads != len(reads) {
+		t.Fatalf("reader read %d tags in %d rounds, the batches carry %d readings", st.Reads, st.Rounds, len(reads))
 	}
 }
 
 func TestTagwatchOverLLRP(t *testing.T) {
 	// The full middleware driving a reader over the wire: one complete
 	// cycle must produce Phase I readings, assessments and a Phase II.
-	dev, _ := startLLRPRig(t, 3, 6)
+	dev, _, _ := startLLRPRig(t, 3, 6)
 	cfg := DefaultConfig()
 	cfg.PhaseIIDwell = 300 * time.Millisecond
 	tw := New(cfg, dev)

@@ -60,7 +60,8 @@ func DefaultConfig() Config {
 // CycleReport summarises one two-phase reading cycle.
 type CycleReport struct {
 	// PhaseIReads and PhaseIIReads are the readings delivered by each
-	// phase (both also reach subscribers and the history).
+	// phase, in delivery order (both also reach subscribers and the
+	// history as they stream).
 	PhaseIReads  []Reading
 	PhaseIIReads []Reading
 	// Present is the set of distinct tags seen in Phase I.
@@ -75,9 +76,11 @@ type CycleReport struct {
 	// FellBack reports the read-all fallback was taken (too many movers or
 	// nothing to schedule).
 	FellBack bool
-	// ScheduleCost is the wall-clock time spent between the end of Phase I
-	// and the start of Phase II on assessment bookkeeping and bitmask
-	// search — the Fig. 17 metric.
+	// ScheduleCost is the wall-clock planning gap between the end of
+	// Phase I and the start of Phase II: target selection and bitmask
+	// search — the Fig. 17 metric. Motion assessment is not in it: each
+	// Phase I reading is assessed as its round is delivered, overlapping
+	// the read.
 	ScheduleCost time.Duration
 	// PhaseIDuration and PhaseIIDuration are in device-virtual time.
 	PhaseIDuration  time.Duration
@@ -166,7 +169,10 @@ func New(cfg Config, dev Device) *Tagwatch {
 }
 
 // Subscribe registers a listener that receives every reading from both
-// phases — the upper-application delivery path of Fig. 5.
+// phases — the upper-application delivery path of Fig. 5. Listeners run
+// on the cycle's goroutine while the phase streams: a reading arrives
+// when its round ends, not when its phase does, and the next batch waits
+// until the listeners return.
 func (tw *Tagwatch) Subscribe(fn func(Reading)) {
 	tw.listeners = append(tw.listeners, fn)
 }
@@ -222,30 +228,33 @@ func (tw *Tagwatch) assess(r Reading) motion.Result {
 }
 
 // RunCycle executes one complete Phase I + Phase II cycle and returns its
-// report.
+// report. Each batch the device emits is recorded, delivered and assessed
+// before the device hands over the next.
 func (tw *Tagwatch) RunCycle() CycleReport {
 	var rep CycleReport
 
 	// ---- Phase I: read everything once, assess motion. ----
+	moving := make(map[epc.EPC]bool)
 	p1Start := tw.dev.Now()
-	p1, p1Err := tw.dev.ReadAll()
-	rep.PhaseIReads = p1
+	p1Err := tw.dev.ReadAll(func(batch []Reading) {
+		rep.PhaseIReads = append(rep.PhaseIReads, batch...)
+		for _, r := range batch {
+			tw.deliver(r)
+			rep.Present = append(rep.Present, r.EPC)
+			// Restless = fresh motion evidence OR mode churn: the latter is
+			// what keeps periodic movers (turntables, circular tracks)
+			// visible once their phase range has been fully absorbed into
+			// modes.
+			if tw.assess(r).Restless() {
+				moving[r.EPC] = true
+				tw.lastRestless[r.EPC] = r.Time
+			}
+		}
+	})
 	rep.PhaseIDuration = tw.dev.Now() - p1Start
 
 	planStart := time.Now() // wall clock: the Fig. 17 schedule cost
-	moving := make(map[epc.EPC]bool)
 	now := tw.dev.Now()
-	for _, r := range rep.PhaseIReads {
-		tw.deliver(r)
-		rep.Present = append(rep.Present, r.EPC)
-		// Restless = fresh motion evidence OR mode churn: the latter is
-		// what keeps periodic movers (turntables, circular tracks) visible
-		// once their phase range has been fully absorbed into modes.
-		if tw.assess(r).Restless() {
-			moving[r.EPC] = true
-			tw.lastRestless[r.EPC] = r.Time
-		}
-	}
 	// EPC byte order makes the lists, and so the plan's tie-breaks,
 	// independent of map iteration order.
 	slices.SortFunc(rep.Present, epc.Compare)
@@ -299,53 +308,49 @@ func (tw *Tagwatch) RunCycle() CycleReport {
 	rep.ScheduleCost = time.Since(planStart)
 
 	// ---- Phase II: selective reading (or read-all fallback). ----
-	p2Start := tw.dev.Now()
-	var p2 []Reading
-	var p2Err error
-	if fallback {
-		if sd, ok := tw.dev.(*SimDevice); ok {
-			p2 = sd.ReadAllFor(tw.cfg.PhaseIIDwell)
-		} else {
-			// Generic devices: repeated full passes until the dwell is
-			// consumed in device time. A dead transport returns nothing and
-			// never advances the clock — bail rather than spin.
-			deadline := tw.dev.Now() + tw.cfg.PhaseIIDwell
-			for tw.dev.Now() < deadline {
-				before := tw.dev.Now()
-				batch, err := tw.dev.ReadAll()
-				p2 = append(p2, batch...)
-				if err != nil {
-					p2Err = err
-					break
-				}
-				if len(batch) == 0 && tw.dev.Now() == before {
-					break
-				}
+	restless2 := make(map[epc.EPC]int)
+	lastAt := make(map[epc.EPC]time.Duration)
+	emit := func(batch []Reading) {
+		rep.PhaseIIReads = append(rep.PhaseIIReads, batch...)
+		for _, r := range batch {
+			tw.deliver(r)
+			// Phase II readings also feed the immobility models — this is
+			// how a newly learned multipath mode stabilises within one cycle
+			// (§4.3 "When do we learn Gaussian models?") — and refresh the
+			// hysteresis, so a mover being selectively read stays targeted
+			// without depending on its single Phase I sample each cycle. A
+			// single restless reading in a long flood is noise; demand two.
+			if tw.assess(r).Restless() {
+				restless2[r.EPC]++
+				lastAt[r.EPC] = r.Time
 			}
 		}
+	}
+	p2Start := tw.dev.Now()
+	var p2Err error
+	if !fallback {
+		p2Err = tw.dev.ReadSelective(plan.Bitmasks(), tw.cfg.PhaseIIDwell, emit)
+	} else if dr, ok := tw.dev.(dwellReader); ok {
+		dr.readAllFor(tw.cfg.PhaseIIDwell, emit)
 	} else {
-		p2, p2Err = tw.dev.ReadSelective(plan.Bitmasks(), tw.cfg.PhaseIIDwell)
+		// Generic devices: repeated full passes until the dwell is
+		// consumed in device time. A dead transport emits nothing and
+		// never advances the clock — bail rather than spin.
+		deadline := tw.dev.Now() + tw.cfg.PhaseIIDwell
+		for tw.dev.Now() < deadline {
+			before, read := tw.dev.Now(), len(rep.PhaseIIReads)
+			if p2Err = tw.dev.ReadAll(emit); p2Err != nil {
+				break
+			}
+			if len(rep.PhaseIIReads) == read && tw.dev.Now() == before {
+				break
+			}
+		}
 	}
 	if p2Err != nil {
 		rep.Err = fmt.Errorf("phase II: %w", p2Err)
 	}
 	rep.PhaseIIDuration = tw.dev.Now() - p2Start
-	rep.PhaseIIReads = p2
-	restless2 := make(map[epc.EPC]int)
-	lastAt := make(map[epc.EPC]time.Duration)
-	for _, r := range p2 {
-		tw.deliver(r)
-		// Phase II readings also feed the immobility models — this is how
-		// a newly learned multipath mode stabilises within one cycle (§4.3
-		// "When do we learn Gaussian models?") — and refresh the
-		// hysteresis, so a mover being selectively read stays targeted
-		// without depending on its single Phase I sample each cycle. A
-		// single restless reading in a long flood is noise; demand two.
-		if tw.assess(r).Restless() {
-			restless2[r.EPC]++
-			lastAt[r.EPC] = r.Time
-		}
-	}
 	for code, n := range restless2 {
 		if n >= 2 {
 			tw.lastRestless[code] = lastAt[code]

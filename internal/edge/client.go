@@ -9,6 +9,7 @@ import (
 	"hash/fnv"
 	"math/rand"
 	"net"
+	"net/http"
 	"strings"
 	"sync"
 	"time"
@@ -227,9 +228,9 @@ func (c *Client) dial(ctx context.Context) (net.Conn, error) {
 	return d.DialContext(ctx, "tcp", c.cfg.Upstream)
 }
 
-// session runs one upstream subscription: request, status/header parse,
-// then the frame loop. Every conn operation runs under a deadline —
-// the upstream link is exactly the flaky-network surface the
+// session runs one upstream subscription: request, response head, then
+// the frame loop over the body. Every conn operation runs under a
+// deadline — the upstream link is exactly the flaky-network surface the
 // conndeadline analyzer polices — so a half-open TCP session surfaces
 // as a timeout, never a wedged goroutine.
 func (c *Client) session(ctx context.Context) error {
@@ -260,26 +261,16 @@ func (c *Client) session(ctx context.Context) error {
 		return fmt.Errorf("request: %w", err)
 	}
 
-	br := bufio.NewReaderSize(conn, 64<<10)
 	conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-	status, err := br.ReadString('\n')
+	// The body is the event stream, de-chunked: chunk boundaries need not
+	// fall between frames (a re-chunking proxy, coalesced writes). It is
+	// never closed, as that would drain it; closing conn ends it.
+	resp, err := http.ReadResponse(bufio.NewReaderSize(conn, 64<<10), nil)
 	if err != nil {
-		return fmt.Errorf("status: %w", err)
+		return fmt.Errorf("response: %w", err)
 	}
-	parts := strings.SplitN(strings.TrimSpace(status), " ", 3)
-	if len(parts) < 2 || parts[1] != "200" {
-		return fmt.Errorf("upstream refused stream: %q", strings.TrimSpace(status))
-	}
-	// Drain headers to the blank line; the body is the event stream.
-	for {
-		conn.SetReadDeadline(time.Now().Add(c.cfg.ReadTimeout))
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return fmt.Errorf("headers: %w", err)
-		}
-		if strings.TrimRight(line, "\r\n") == "" {
-			break
-		}
+	if resp.StatusCode != http.StatusOK {
+		return fmt.Errorf("upstream refused stream: %q", resp.Status)
 	}
 
 	c.mu.Lock()
@@ -288,11 +279,12 @@ func (c *Client) session(ctx context.Context) error {
 	c.mu.Unlock()
 	c.logf("edge: streaming from %s (cursor %s:%d)", c.cfg.Upstream, identity, cursor)
 
-	return c.frameLoop(ctx, conn, br)
+	return c.frameLoop(ctx, conn, bufio.NewReader(resp.Body))
 }
 
-// frameLoop reads SSE frames until the stream dies or a gap forces a
-// resync.
+// frameLoop reads SSE frames from the response body until the stream
+// dies or a gap forces a resync. The body reads from conn, so the read
+// deadline armed before each line bounds it.
 func (c *Client) frameLoop(ctx context.Context, conn net.Conn, br *bufio.Reader) error {
 	var id, event string
 	var data []byte

@@ -6,6 +6,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
@@ -494,5 +496,49 @@ func TestEdgeCancelWhileHandlingFrame(t *testing.T) {
 		ts.CloseClientConnections()
 		<-done
 		t.Fatal("Run still followed upstream 1s after the cancel")
+	}
+}
+
+// TestEdgeDecodesFrameSplitAcrossChunks: the stream is a chunked HTTP
+// body, and chunk boundaries need not fall between frames (a proxy may
+// re-chunk, a writer may coalesce). A frame split inside its data line
+// across two chunks must apply within one session.
+func TestEdgeDecodesFrameSplitAcrossChunks(t *testing.T) {
+	reset, err := json.Marshal(fleet.ResetPayload{Identity: "up"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	code := testEPC(t, 1).String()
+	ev, err := json.Marshal(fleet.Event{Type: fleet.EventTag, Seq: 1, EPC: code, Tag: &fleet.TagState{EPC: code, Reader: "r0", Reads: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	frame := fmt.Sprintf("id: up:1\nevent: tag\ndata: %s\n\n", ev)
+	cut := strings.Index(frame, "data: ") + len("data: ") + 10
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/event-stream")
+		flush := w.(http.Flusher).Flush
+		fmt.Fprintf(w, "id: up:0\nevent: reset\ndata: %s\n\n", reset)
+		flush()
+		for _, part := range []string{frame[:cut], frame[cut:]} {
+			io.WriteString(w, part)
+			flush() // one chunk each
+		}
+		<-r.Context().Done()
+	}))
+	defer ts.Close()
+
+	client := NewClient(edgeConfig(ts.Listener.Addr().String()))
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() { defer close(done); _ = client.Run(ctx) }()
+	defer func() { cancel(); <-done }()
+
+	waitFor(t, time.Second, "the split frame to apply", func() bool {
+		_, cursor := client.Cursor()
+		return cursor == 1
+	})
+	if st := client.Status(); st.Sessions != 1 || st.Tags != 1 {
+		t.Fatalf("split frame took %d sessions and left %d mirrored tags, want 1 and 1", st.Sessions, st.Tags)
 	}
 }

@@ -84,13 +84,13 @@ func Fig15(opt Options, targets int) (Fig15Result, error) {
 	runSelective := func(p schedule.Plan) (map[epc.EPC]int, time.Duration) {
 		dev, _ := build()
 		start := dev.Now()
-		reads, _ := dev.ReadSelective(p.Bitmasks(), dwell) // SimDevice cannot fail
-		span := dev.Now() - start
 		count := map[epc.EPC]int{}
-		for _, r := range reads {
-			count[r.EPC]++
-		}
-		return count, span
+		_ = dev.ReadSelective(p.Bitmasks(), dwell, func(batch []core.Reading) { // SimDevice cannot fail
+			for _, r := range batch {
+				count[r.EPC]++
+			}
+		})
+		return count, dev.Now() - start
 	}
 	twCount, twSpan := runSelective(plan)
 	nvCount, nvSpan := runSelective(naive)
