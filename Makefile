@@ -69,6 +69,7 @@ soak:
 fuzz-smoke:
 	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -run '^$$' ./internal/llrp/
 	go test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/epc/
+	go test -fuzz=FuzzParseCursor -fuzztime=10s -run '^$$' ./internal/fleet/
 
 # The perf-trajectory rig: the core data-plane benchmarks (wire codec,
 # schedule solver, motion model, EPC ops, WAL append, registry merge,

@@ -268,17 +268,23 @@ func runStandby(ctx context.Context, cfg fleet.Config, listenRepl, httpAddr stri
 	type handlerBox struct{ h http.Handler }
 	var handler atomic.Value
 	handler.Store(handlerBox{sb.Handler()})
-	srv := &http.Server{
-		Handler: http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	sctx, cancel := context.WithCancel(ctx)
+	defer cancel()
+	served := make(chan error, 1)
+	go func() {
+		served <- fleet.Serve(sctx, lis, http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			handler.Load().(handlerBox).h.ServeHTTP(w, r)
-		}),
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    1 << 20,
+		}))
+	}()
+	// drain ends the HTTP loop and waits out its graceful drain, so no
+	// request is still in flight when the standby or the promoted fleet
+	// behind it stops.
+	drain := func() {
+		cancel()
+		if err := <-served; err != nil && err != http.ErrServerClosed {
+			log.Printf("http: %v", err)
+		}
 	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(lis) }()
-	defer srv.Close()
 	fmt.Printf("fleetd: standby, replication on %s, HTTP on %s\n", lisRepl.Addr(), lis.Addr())
 
 	var promoteCh chan os.Signal
@@ -290,9 +296,10 @@ func runStandby(ctx context.Context, cfg fleet.Config, listenRepl, httpAddr stri
 
 	select {
 	case <-ctx.Done():
+		drain()
 		sb.Stop()
 		return 0
-	case err := <-errc:
+	case err := <-served:
 		log.Printf("http: %v", err)
 		sb.Stop()
 		return 1
@@ -303,6 +310,7 @@ func runStandby(ctx context.Context, cfg fleet.Config, listenRepl, httpAddr stri
 	m, err := sb.Promote(ctx)
 	if err != nil {
 		log.Printf("promote: %v", err)
+		drain()
 		return 1
 	}
 	if !quiet {
@@ -313,7 +321,8 @@ func runStandby(ctx context.Context, cfg fleet.Config, listenRepl, httpAddr stri
 
 	select {
 	case <-ctx.Done():
-	case err := <-errc:
+		drain()
+	case err := <-served:
 		log.Printf("http: %v", err)
 	}
 	return finishFleet(m)

@@ -3,6 +3,8 @@ package core
 import (
 	"context"
 	"time"
+
+	"tagwatch/internal/guard"
 )
 
 // unhealthyPauseBase and unhealthyPauseMax bound the degraded-mode
@@ -73,19 +75,5 @@ func (tw *Tagwatch) Run(ctx context.Context, pause time.Duration) <-chan CycleRe
 // unhealthyPause computes the degraded-mode inter-cycle delay after n
 // consecutive cycle errors (n >= 1).
 func unhealthyPause(pause time.Duration, n int) time.Duration {
-	base := pause
-	if base < unhealthyPauseBase {
-		base = unhealthyPauseBase
-	}
-	d := base
-	for i := 1; i < n; i++ {
-		d *= 2
-		if d >= unhealthyPauseMax {
-			return unhealthyPauseMax
-		}
-	}
-	if d > unhealthyPauseMax {
-		d = unhealthyPauseMax
-	}
-	return d
+	return guard.Backoff(max(pause, unhealthyPauseBase), unhealthyPauseMax, n)
 }

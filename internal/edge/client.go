@@ -15,6 +15,7 @@ import (
 	"time"
 
 	"tagwatch/internal/fleet"
+	"tagwatch/internal/guard"
 )
 
 // ClientStatus snapshots the upstream link's convergence accounting.
@@ -199,17 +200,10 @@ func (c *Client) Run(ctx context.Context) error {
 var errResync = errors.New("edge: resync requested")
 
 func (c *Client) backoff(failures int) time.Duration {
-	d := c.cfg.BackoffBase
-	for i := 1; i < failures && d < c.cfg.BackoffMax; i++ {
-		d *= 2
-	}
-	if d > c.cfg.BackoffMax {
-		d = c.cfg.BackoffMax
-	}
 	c.mu.Lock()
-	jitter := 0.8 + 0.4*c.rng.Float64()
+	u := c.rng.Float64()
 	c.mu.Unlock()
-	return time.Duration(float64(d) * jitter)
+	return guard.Jitter(guard.Backoff(c.cfg.BackoffBase, c.cfg.BackoffMax, failures), u)
 }
 
 func (c *Client) logf(format string, args ...any) {

@@ -2,15 +2,13 @@ package edge
 
 import (
 	"context"
-	"encoding/json"
-	"fmt"
 	"net"
 	"net/http"
 	"strconv"
-	"strings"
 	"time"
 
 	"tagwatch/internal/fleet"
+	"tagwatch/internal/promtext"
 )
 
 // Server re-serves the edge mirror over HTTP with the same API shapes —
@@ -41,88 +39,35 @@ func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /api/tags", s.handleTags)
 	mux.HandleFunc("GET /api/status", s.handleStatus)
-	mux.HandleFunc("GET /api/events", s.handleEvents)
+	// The fleet's own streamer, in the edge bus's sequence space:
+	// identical resume/gap/reset semantics to the primary.
+	cfg := s.client.cfg
+	mux.Handle("GET /api/events", &fleet.EventStreamer{
+		Bus:          s.client.Bus(),
+		Snapshot:     s.client.Snapshot,
+		WriteTimeout: cfg.SSEWriteTimeout,
+		Heartbeat:    cfg.SSEHeartbeat,
+		Buffer:       cfg.EventBuffer,
+	})
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	mux.HandleFunc("GET /metrics", s.handleMetrics)
+	mux.Handle("GET /metrics", promtext.Handler(s.writeMetrics))
 	return mux
 }
 
 // Serve runs the downstream API on lis until ctx is cancelled, then
-// shuts down with a 5s drain. Request contexts derive from ctx so SSE
-// streams end promptly at shutdown (same discipline as fleet.Serve).
+// drains it through the fleet's shared server loop (fleet.Serve).
 func (s *Server) Serve(ctx context.Context, lis net.Listener) error {
-	srv := &http.Server{
-		Handler:           s.Handler(),
-		BaseContext:       func(net.Listener) context.Context { return ctx },
-		ReadHeaderTimeout: 5 * time.Second,
-		IdleTimeout:       2 * time.Minute,
-		MaxHeaderBytes:    1 << 20,
-	}
-	errc := make(chan error, 1)
-	go func() { errc <- srv.Serve(lis) }()
-	select {
-	case err := <-errc:
-		return err
-	case <-ctx.Done():
-		sctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-		defer cancel()
-		err := srv.Shutdown(sctx)
-		srv.Close()
-		return err
-	}
-}
-
-func writeJSON(w http.ResponseWriter, status int, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(status)
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	enc.Encode(v)
-}
-
-func (s *Server) stalenessMS() int64 {
-	return s.client.Status().StalenessMS
+	return fleet.Serve(ctx, lis, s.Handler())
 }
 
 func (s *Server) handleTags(w http.ResponseWriter, r *http.Request) {
-	q := r.URL.Query()
-	onlyMobile := q.Get("mobile") == "1" || q.Get("mobile") == "true"
-	reader := q.Get("reader")
-	limit := 0
-	if v := q.Get("limit"); v != "" {
-		n, err := strconv.Atoi(v)
-		if err != nil || n < 0 {
-			http.Error(w, "bad limit", http.StatusBadRequest)
-			return
-		}
-		limit = n
-	}
-	tags := s.client.Snapshot()
-	out := tags[:0]
-	for _, t := range tags {
-		if onlyMobile && !t.Mobile {
-			continue
-		}
-		if reader != "" && t.Reader != reader {
-			continue
-		}
-		out = append(out, t)
-		if limit > 0 && len(out) == limit {
-			break
-		}
-	}
-	w.Header().Set("X-Tagwatch-Staleness-Ms", strconv.FormatInt(s.stalenessMS(), 10))
-	writeJSON(w, http.StatusOK, struct {
-		Count int              `json:"count"`
-		Tags  []fleet.TagState `json:"tags"`
-	}{len(out), out})
+	w.Header().Set("X-Tagwatch-Staleness-Ms", strconv.FormatInt(s.client.Status().StalenessMS, 10))
+	fleet.ServeTags(w, r, s.client.Snapshot)
 }
 
 func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 	st := s.client.Status()
-	published, dropped, subscribers := s.client.Bus().Stats()
-	oldest, newest := s.client.Bus().Coverage()
-	writeJSON(w, http.StatusOK, struct {
+	fleet.WriteJSON(w, http.StatusOK, struct {
 		Role       string             `json:"role"`
 		UptimeSecs int64              `json:"uptime_secs"`
 		Tags       int                `json:"tags"`
@@ -135,33 +80,8 @@ func (s *Server) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Tags:       st.Tags,
 		Stale:      s.client.Stale(),
 		Link:       st,
-		Events: fleet.EventsStatus{
-			Identity:       s.client.Bus().Identity(),
-			LastSeq:        newest,
-			OldestRetained: oldest,
-			Published:      published,
-			Dropped:        dropped,
-			Gaps:           s.client.Bus().Gaps(),
-			Rejected:       s.client.Bus().Rejected(),
-			Subscribers:    subscribers,
-			PerSubscriber:  s.client.Bus().Drops(),
-		},
+		Events:     s.client.Bus().Status(),
 	})
-}
-
-// handleEvents streams the downstream bus through the shared fleet
-// streamer — identical resume/gap/reset semantics to the primary, in
-// the edge's own sequence space.
-func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
-	cfg := s.client.cfg
-	es := &fleet.EventStreamer{
-		Bus:          s.client.Bus(),
-		Snapshot:     s.client.Snapshot,
-		WriteTimeout: cfg.SSEWriteTimeout,
-		Heartbeat:    cfg.SSEHeartbeat,
-		Buffer:       cfg.EventBuffer,
-	}
-	es.ServeHTTP(w, r)
 }
 
 // handleHealthz is deliberately degraded-not-dead: the edge exists to
@@ -175,7 +95,7 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	if s.client.Stale() {
 		state = "degraded"
 	}
-	writeJSON(w, http.StatusOK, struct {
+	fleet.WriteJSON(w, http.StatusOK, struct {
 		Status      string `json:"status"`
 		Connected   bool   `json:"connected"`
 		StalenessMS int64  `json:"staleness_ms"`
@@ -184,63 +104,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 	}{state, st.Connected, st.StalenessMS, st.Tags, int64(time.Since(s.started).Seconds())})
 }
 
-func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	counter := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-
+// writeMetrics renders the link's convergence ledger and the
+// downstream bus's loss accounting on p.
+func (s *Server) writeMetrics(p *promtext.Page) {
 	st := s.client.Status()
-	gauge("tagwatch_edge_upstream_connected", "Whether the upstream SSE session is live.")
-	connected := 0
-	if st.Connected {
-		connected = 1
-	}
-	fmt.Fprintf(&b, "tagwatch_edge_upstream_connected %d\n", connected)
-	gauge("tagwatch_edge_staleness_ms", "Milliseconds since the last upstream frame (-1 before any).")
-	fmt.Fprintf(&b, "tagwatch_edge_staleness_ms %d\n", st.StalenessMS)
-	gauge("tagwatch_edge_mirror_tags", "Tags in the local registry mirror.")
-	fmt.Fprintf(&b, "tagwatch_edge_mirror_tags %d\n", st.Tags)
-	gauge("tagwatch_edge_cursor", "Last contiguously applied upstream sequence.")
-	fmt.Fprintf(&b, "tagwatch_edge_cursor %d\n", st.Cursor)
-	counter("tagwatch_edge_sessions_total", "Upstream SSE sessions established.")
-	fmt.Fprintf(&b, "tagwatch_edge_sessions_total %d\n", st.Sessions)
-	counter("tagwatch_edge_frames_total", "Upstream SSE frames applied.")
-	fmt.Fprintf(&b, "tagwatch_edge_frames_total %d\n", st.Frames)
-	counter("tagwatch_edge_resets_total", "Full-state re-anchors received from upstream.")
-	fmt.Fprintf(&b, "tagwatch_edge_resets_total %d\n", st.Resets)
-	counter("tagwatch_edge_identity_changes_total", "Upstream sequence-space changes observed (failovers/restarts).")
-	fmt.Fprintf(&b, "tagwatch_edge_identity_changes_total %d\n", st.IdentityChanges)
-	counter("tagwatch_edge_gaps_total", "Loss intervals upstream announced to this edge.")
-	fmt.Fprintf(&b, "tagwatch_edge_gaps_total %d\n", st.Gaps)
-	counter("tagwatch_edge_gaps_healed_total", "Announced gaps recovered by ring replay.")
-	fmt.Fprintf(&b, "tagwatch_edge_gaps_healed_total %d\n", st.GapsHealed)
-	counter("tagwatch_edge_gaps_reset_total", "Announced gaps recovered by full reset.")
-	fmt.Fprintf(&b, "tagwatch_edge_gaps_reset_total %d\n", st.GapsReset)
-	counter("tagwatch_edge_contiguity_violations_total", "Unannounced sequence holes (zero in a correct deployment).")
-	fmt.Fprintf(&b, "tagwatch_edge_contiguity_violations_total %d\n", st.ContiguityViolations)
-
-	published, dropped, subscribers := s.client.Bus().Stats()
-	oldest, newest := s.client.Bus().Coverage()
-	counter("tagwatch_edge_bus_events_total", "Events published on the downstream bus.")
-	fmt.Fprintf(&b, "tagwatch_edge_bus_events_total %d\n", published)
-	counter("tagwatch_edge_bus_dropped_total", "Events dropped across slow downstream subscribers.")
-	fmt.Fprintf(&b, "tagwatch_edge_bus_dropped_total %d\n", dropped)
-	counter("tagwatch_edge_bus_gaps_total", "Gap frames delivered to downstream subscribers.")
-	fmt.Fprintf(&b, "tagwatch_edge_bus_gaps_total %d\n", s.client.Bus().Gaps())
-	counter("tagwatch_edge_bus_rejected_total", "Downstream subscriptions refused by the subscriber limit.")
-	fmt.Fprintf(&b, "tagwatch_edge_bus_rejected_total %d\n", s.client.Bus().Rejected())
-	gauge("tagwatch_edge_bus_subscribers", "Live downstream subscribers.")
-	fmt.Fprintf(&b, "tagwatch_edge_bus_subscribers %d\n", subscribers)
-	gauge("tagwatch_edge_bus_last_seq", "Newest downstream sequence number.")
-	fmt.Fprintf(&b, "tagwatch_edge_bus_last_seq %d\n", newest)
-	gauge("tagwatch_edge_bus_ring_oldest_seq", "Oldest downstream sequence still replayable.")
-	fmt.Fprintf(&b, "tagwatch_edge_bus_ring_oldest_seq %d\n", oldest)
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte(b.String()))
+	p.Gauge("tagwatch_edge_upstream_connected", "Whether the upstream SSE session is live.").Int(promtext.Bool(st.Connected))
+	p.Gauge("tagwatch_edge_staleness_ms", "Milliseconds since the last upstream frame (-1 before any).").Int(st.StalenessMS)
+	p.Gauge("tagwatch_edge_mirror_tags", "Tags in the local registry mirror.").Int(int64(st.Tags))
+	p.Gauge("tagwatch_edge_cursor", "Last contiguously applied upstream sequence.").Uint(st.Cursor)
+	p.Counter("tagwatch_edge_sessions_total", "Upstream SSE sessions established.").Uint(st.Sessions)
+	p.Counter("tagwatch_edge_frames_total", "Upstream SSE frames applied.").Uint(st.Frames)
+	p.Counter("tagwatch_edge_resets_total", "Full-state re-anchors received from upstream.").Uint(st.Resets)
+	p.Counter("tagwatch_edge_identity_changes_total", "Upstream sequence-space changes observed (failovers/restarts).").Uint(st.IdentityChanges)
+	p.Counter("tagwatch_edge_gaps_total", "Loss intervals upstream announced to this edge.").Uint(st.Gaps)
+	p.Counter("tagwatch_edge_gaps_healed_total", "Announced gaps recovered by ring replay.").Uint(st.GapsHealed)
+	p.Counter("tagwatch_edge_gaps_reset_total", "Announced gaps recovered by full reset.").Uint(st.GapsReset)
+	p.Counter("tagwatch_edge_contiguity_violations_total", "Unannounced sequence holes (zero in a correct deployment).").Uint(st.ContiguityViolations)
+	s.client.Bus().Status().WriteMetrics(p, "tagwatch_edge_bus")
 }

@@ -4,9 +4,12 @@ import (
 	"crypto/rand"
 	"encoding/hex"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tagwatch/internal/promtext"
 )
 
 // EventType labels the kinds of events the fleet publishes.
@@ -306,18 +309,6 @@ func (b *Bus) LastSeq() uint64 {
 	return b.lastSeq
 }
 
-// Coverage reports the ring's retained window: the oldest and newest
-// sequence numbers replayable right now (both 0 when nothing has been
-// published). A cursor c resumes cleanly iff c+1 >= oldest.
-func (b *Bus) Coverage() (oldest, newest uint64) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	if b.lastSeq == 0 || len(b.ring) == 0 {
-		return 0, b.lastSeq
-	}
-	return b.lastSeq - uint64(len(b.ring)) + 1, b.lastSeq
-}
-
 // ReplayFrom copies every retained event with Seq > after, in sequence
 // order. ok is false when the cursor has fallen off the ring — some
 // event in (after, lastSeq] is no longer retained — in which case the
@@ -352,13 +343,6 @@ func (b *Bus) Stats() (published, dropped uint64, subscribers int) {
 	return b.published.Load(), b.dropped.Load(), n
 }
 
-// Gaps reports how many synthetic gap events the bus has delivered
-// across all subscribers — each one an announced loss interval.
-func (b *Bus) Gaps() uint64 { return b.gaps.Load() }
-
-// Rejected reports how many TrySubscribe calls the limit turned away.
-func (b *Bus) Rejected() uint64 { return b.rejected.Load() }
-
 // SubscriberDrops is one live subscriber's loss accounting for /metrics.
 type SubscriberDrops struct {
 	ID      int
@@ -366,17 +350,76 @@ type SubscriberDrops struct {
 	Gaps    uint64
 }
 
-// Drops snapshots the per-subscriber drop and gap counters, sorted by
-// subscriber ID for deterministic metrics output.
-func (b *Bus) Drops() []SubscriberDrops {
+// EventsStatus is the delivery layer's observability block: how lossy
+// this deployment is, measured instead of inferred.
+type EventsStatus struct {
+	// Identity names the bus's sequence space (cursors embed it).
+	Identity string `json:"identity"`
+	// LastSeq is the newest published sequence; OldestRetained is the
+	// ring's replay floor — a cursor at or past OldestRetained-1 resumes,
+	// anything older resets.
+	LastSeq        uint64 `json:"last_seq"`
+	OldestRetained uint64 `json:"oldest_retained"`
+	// Published/Dropped/Gaps/Rejected are lifetime bus totals; Gaps
+	// counts synthetic gap frames delivered (announced loss intervals).
+	Published   uint64 `json:"published"`
+	Dropped     uint64 `json:"dropped"`
+	Gaps        uint64 `json:"gaps"`
+	Rejected    uint64 `json:"rejected"`
+	Subscribers int    `json:"subscribers"`
+	// PerSubscriber breaks drops and gaps down by live subscriber.
+	PerSubscriber []SubscriberDrops `json:"per_subscriber,omitempty"`
+}
+
+// Status snapshots the bus's loss accounting in one pass under the bus
+// lock: the events block of /api/status and the bus families of
+// /metrics, on the fleet and the edge alike. PerSubscriber is sorted by
+// subscriber ID.
+func (b *Bus) Status() EventsStatus {
 	b.mu.Lock()
-	out := make([]SubscriberDrops, 0, len(b.subs))
+	st := EventsStatus{
+		Identity:    b.identity,
+		LastSeq:     b.lastSeq,
+		Published:   b.published.Load(),
+		Dropped:     b.dropped.Load(),
+		Gaps:        b.gaps.Load(),
+		Rejected:    b.rejected.Load(),
+		Subscribers: len(b.subs),
+	}
+	if b.lastSeq > 0 && len(b.ring) > 0 {
+		st.OldestRetained = b.lastSeq - uint64(len(b.ring)) + 1
+	}
 	for _, s := range b.subs {
-		out = append(out, SubscriberDrops{ID: s.id, Dropped: s.dropped.Load(), Gaps: s.gapsOut.Load()})
+		st.PerSubscriber = append(st.PerSubscriber, SubscriberDrops{ID: s.id, Dropped: s.dropped.Load(), Gaps: s.gapsOut.Load()})
 	}
 	b.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
-	return out
+	sort.Slice(st.PerSubscriber, func(i, j int) bool { return st.PerSubscriber[i].ID < st.PerSubscriber[j].ID })
+	return st
+}
+
+// WriteMetrics writes the bus families under prefix
+// (tagwatch_fleet_bus, tagwatch_edge_bus).
+func (s EventsStatus) WriteMetrics(p *promtext.Page, prefix string) {
+	p.Counter(prefix+"_events_total", "Events published on the bus.").Uint(s.Published)
+	p.Counter(prefix+"_dropped_total", "Events dropped across all slow subscribers.").Uint(s.Dropped)
+	p.Counter(prefix+"_rejected_total", "Subscriptions refused by the subscriber limit.").Uint(s.Rejected)
+	p.Gauge(prefix+"_subscribers", "Live bus subscribers.").Int(int64(s.Subscribers))
+	p.Counter(prefix+"_gaps_total", "Synthetic gap events delivered across all subscribers (announced loss intervals).").Uint(s.Gaps)
+	p.Gauge(prefix+"_last_seq", "Newest published bus sequence number.").Uint(s.LastSeq)
+	p.Gauge(prefix+"_ring_oldest_seq", "Oldest sequence still replayable from the ring (the resume floor).").Uint(s.OldestRetained)
+	window := uint64(0)
+	if s.OldestRetained > 0 {
+		window = s.LastSeq - s.OldestRetained + 1
+	}
+	p.Gauge(prefix+"_ring_window", "Events currently retained for replay.").Uint(window)
+	dropped := p.Counter(prefix+"_subscriber_dropped_total", "Events dropped per live subscriber.")
+	for _, sd := range s.PerSubscriber {
+		dropped.Uint(sd.Dropped, "subscriber", strconv.Itoa(sd.ID))
+	}
+	gaps := p.Counter(prefix+"_subscriber_gaps_total", "Gap events delivered per live subscriber.")
+	for _, sd := range s.PerSubscriber {
+		gaps.Uint(sd.Gaps, "subscriber", strconv.Itoa(sd.ID))
+	}
 }
 
 // C returns the subscriber's event channel. It is closed by Close.

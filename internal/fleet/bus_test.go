@@ -74,8 +74,8 @@ func TestBusSlowSubscriberDropsWithoutBlocking(t *testing.T) {
 func TestBusSequencesAndJournal(t *testing.T) {
 	b := NewBus()
 	b.SetRingCap(4)
-	if oldest, newest := b.Coverage(); oldest != 0 || newest != 0 {
-		t.Fatalf("empty coverage = (%d,%d), want (0,0)", oldest, newest)
+	if st := b.Status(); st.OldestRetained != 0 || st.LastSeq != 0 {
+		t.Fatalf("empty coverage = (%d,%d), want (0,0)", st.OldestRetained, st.LastSeq)
 	}
 	for i := 1; i <= 10; i++ {
 		b.Publish(Event{Type: EventCycle, At: time.Unix(int64(i), 0)})
@@ -83,9 +83,8 @@ func TestBusSequencesAndJournal(t *testing.T) {
 	if got := b.LastSeq(); got != 10 {
 		t.Fatalf("LastSeq = %d, want 10", got)
 	}
-	oldest, newest := b.Coverage()
-	if oldest != 7 || newest != 10 {
-		t.Fatalf("coverage = (%d,%d), want (7,10)", oldest, newest)
+	if st := b.Status(); st.OldestRetained != 7 || st.LastSeq != 10 {
+		t.Fatalf("coverage = (%d,%d), want (7,10)", st.OldestRetained, st.LastSeq)
 	}
 
 	evs, ok := b.ReplayFrom(6)
@@ -149,8 +148,8 @@ func TestBusGapCarriesExactRange(t *testing.T) {
 			t.Fatalf("missing event %d (%s seq=%d)", i, w.typ, w.seq)
 		}
 	}
-	if sub.Gaps() != 1 || b.Gaps() != 1 {
-		t.Fatalf("gap counters: sub=%d bus=%d, want 1/1", sub.Gaps(), b.Gaps())
+	if sub.Gaps() != 1 || b.Status().Gaps != 1 {
+		t.Fatalf("gap counters: sub=%d bus=%d, want 1/1", sub.Gaps(), b.Status().Gaps)
 	}
 	if sub.Dropped() != 3 {
 		t.Fatalf("dropped = %d, want 3", sub.Dropped())
@@ -216,8 +215,8 @@ func TestBusFlushGapAnnouncesTailLoss(t *testing.T) {
 	if sub.FlushGap() {
 		t.Fatal("FlushGap re-announced an already-flushed gap")
 	}
-	if sub.Gaps() != 1 || b.Gaps() != 1 {
-		t.Fatalf("gap counters: sub=%d bus=%d, want 1/1", sub.Gaps(), b.Gaps())
+	if sub.Gaps() != 1 || b.Status().Gaps != 1 {
+		t.Fatalf("gap counters: sub=%d bus=%d, want 1/1", sub.Gaps(), b.Status().Gaps)
 	}
 }
 

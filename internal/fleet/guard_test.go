@@ -454,8 +454,8 @@ func TestSSESubscriberLimit(t *testing.T) {
 	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("503 without Retry-After")
 	}
-	if m.bus.Rejected() != 1 {
-		t.Fatalf("bus rejected = %d, want 1", m.bus.Rejected())
+	if got := m.bus.Status().Rejected; got != 1 {
+		t.Fatalf("bus rejected = %d, want 1", got)
 	}
 }
 
@@ -470,9 +470,9 @@ func TestBusPerSubscriberDrops(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		b.Publish(Event{Type: EventCycle, At: time.Now()})
 	}
-	drops := b.Drops()
+	drops := b.Status().PerSubscriber
 	if len(drops) != 2 {
-		t.Fatalf("Drops returned %d entries", len(drops))
+		t.Fatalf("Status reported %d subscribers' drops", len(drops))
 	}
 	if drops[0].Dropped != 0 {
 		t.Fatalf("fast subscriber dropped %d", drops[0].Dropped)

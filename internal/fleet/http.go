@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"tagwatch/internal/epc"
+	"tagwatch/internal/promtext"
 	"tagwatch/internal/replication"
 )
 
@@ -29,30 +30,46 @@ import (
 // limits manage.
 func (m *Manager) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc("GET /api/tags", m.handleTags)
+	mux.HandleFunc("GET /api/tags", func(w http.ResponseWriter, r *http.Request) {
+		ServeTags(w, r, m.reg.Snapshot)
+	})
 	mux.HandleFunc("GET /api/tags/{epc}", m.handleTag)
 	mux.HandleFunc("GET /api/readers", m.handleReaders)
 	mux.HandleFunc("GET /api/status", m.handleStatus)
-	mux.HandleFunc("GET /api/events", m.handleEvents)
+	// SSE streams bypass the concurrency limit (they are long-lived by
+	// design), so the streamer's subscriber cap is what bounds them.
+	mux.Handle("GET /api/events", &EventStreamer{
+		Bus:          m.bus,
+		Snapshot:     m.reg.Snapshot,
+		WriteTimeout: m.cfg.SSEWriteTimeout,
+		Heartbeat:    m.cfg.SSEHeartbeat,
+		Buffer:       m.cfg.EventBuffer,
+	})
 	mux.HandleFunc("GET /healthz", m.handleHealthz)
-	mux.HandleFunc("GET /metrics", m.handleMetrics)
+	mux.Handle("GET /metrics", promtext.Handler(m.writeMetrics))
 	return m.admission.Middleware(mux)
 }
 
-// Serve runs the HTTP API on lis until ctx is cancelled, then shuts down
-// gracefully with a 5 s drain. Request contexts derive from ctx, so
-// long-lived SSE streams end promptly at shutdown instead of pinning the
-// drain.
+// Serve runs the HTTP API on lis until ctx is cancelled, then drains
+// it through the shared Serve loop.
+func (m *Manager) Serve(ctx context.Context, lis net.Listener) error {
+	return Serve(ctx, lis, m.Handler())
+}
+
+// Serve is the server loop fleetd, its standby and edged share: it
+// serves h on lis until ctx is cancelled, then shuts down gracefully
+// with a 5 s drain. Request contexts derive from ctx, so long-lived SSE
+// streams end promptly at shutdown instead of pinning the drain.
 //
 // The server is hardened against slow and abusive clients: header reads
 // and idle keep-alives are bounded, and header size is capped. There is
 // deliberately no WriteTimeout — it would kill every SSE stream at a
 // fixed age; slow SSE consumers are bounded instead by the per-write
-// deadlines in handleEvents, and slow non-SSE responses by the admission
-// latency budget.
-func (m *Manager) Serve(ctx context.Context, lis net.Listener) error {
+// deadlines in EventStreamer, and slow non-SSE responses by the
+// admission latency budget.
+func Serve(ctx context.Context, lis net.Listener, h http.Handler) error {
 	srv := &http.Server{
-		Handler:           m.Handler(),
+		Handler:           h,
 		BaseContext:       func(net.Listener) context.Context { return ctx },
 		ReadHeaderTimeout: 5 * time.Second,
 		IdleTimeout:       2 * time.Minute,
@@ -72,7 +89,9 @@ func (m *Manager) Serve(ctx context.Context, lis net.Listener) error {
 	}
 }
 
-func writeJSON(w http.ResponseWriter, status int, v any) {
+// WriteJSON writes v, indented, as the JSON body of a response with
+// the given status.
+func WriteJSON(w http.ResponseWriter, status int, v any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
 	enc := json.NewEncoder(w)
@@ -80,7 +99,11 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	enc.Encode(v)
 }
 
-func (m *Manager) handleTags(w http.ResponseWriter, r *http.Request) {
+// ServeTags answers GET /api/tags from snapshot, filtered by the query:
+// ?mobile=1 keeps movers, ?reader=NAME one reader's tags, ?limit=N the
+// first N. The fleet serves its registry through it, the edge its
+// mirror; a bad limit is refused before any snapshot is taken.
+func ServeTags(w http.ResponseWriter, r *http.Request, snapshot func() []TagState) {
 	q := r.URL.Query()
 	onlyMobile := q.Get("mobile") == "1" || q.Get("mobile") == "true"
 	reader := q.Get("reader")
@@ -93,7 +116,7 @@ func (m *Manager) handleTags(w http.ResponseWriter, r *http.Request) {
 		}
 		limit = n
 	}
-	tags := m.reg.Snapshot()
+	tags := snapshot()
 	out := tags[:0]
 	for _, t := range tags {
 		if onlyMobile && !t.Mobile {
@@ -107,7 +130,7 @@ func (m *Manager) handleTags(w http.ResponseWriter, r *http.Request) {
 			break
 		}
 	}
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Count int        `json:"count"`
 		Tags  []TagState `json:"tags"`
 	}{len(out), out})
@@ -124,11 +147,11 @@ func (m *Manager) handleTag(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "unknown tag", http.StatusNotFound)
 		return
 	}
-	writeJSON(w, http.StatusOK, st)
+	WriteJSON(w, http.StatusOK, st)
 }
 
 func (m *Manager) handleReaders(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Readers []ReaderStatus `json:"readers"`
 	}{m.Readers()})
 }
@@ -143,7 +166,7 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 		role = "primary"
 	}
 	obs, handoffs := m.reg.Stats()
-	writeJSON(w, http.StatusOK, struct {
+	WriteJSON(w, http.StatusOK, struct {
 		Role         string                   `json:"role"`
 		Healthy      bool                     `json:"healthy"`
 		UptimeSecs   int64                    `json:"uptime_secs"`
@@ -163,64 +186,9 @@ func (m *Manager) handleStatus(w http.ResponseWriter, r *http.Request) {
 		Observations: obs,
 		Handoffs:     handoffs,
 		Durable:      m.cfg.StateDir != "",
-		Events:       m.EventsStatus(),
+		Events:       m.bus.Status(),
 		Replication:  peers,
 	})
-}
-
-// EventsStatus is the delivery layer's observability block: how lossy
-// this deployment is, measured instead of inferred.
-type EventsStatus struct {
-	// Identity names the bus's sequence space (cursors embed it).
-	Identity string `json:"identity"`
-	// LastSeq is the newest published sequence; OldestRetained is the
-	// ring's replay floor — a cursor at or past OldestRetained-1 resumes,
-	// anything older resets.
-	LastSeq        uint64 `json:"last_seq"`
-	OldestRetained uint64 `json:"oldest_retained"`
-	// Published/Dropped/Gaps/Rejected are lifetime bus totals; Gaps
-	// counts synthetic gap frames delivered (announced loss intervals).
-	Published   uint64 `json:"published"`
-	Dropped     uint64 `json:"dropped"`
-	Gaps        uint64 `json:"gaps"`
-	Rejected    uint64 `json:"rejected"`
-	Subscribers int    `json:"subscribers"`
-	// PerSubscriber breaks drops and gaps down by live subscriber.
-	PerSubscriber []SubscriberDrops `json:"per_subscriber,omitempty"`
-}
-
-// EventsStatus snapshots the bus's loss accounting for /api/status.
-func (m *Manager) EventsStatus() EventsStatus {
-	published, dropped, subscribers := m.bus.Stats()
-	oldest, newest := m.bus.Coverage()
-	return EventsStatus{
-		Identity:       m.bus.Identity(),
-		LastSeq:        newest,
-		OldestRetained: oldest,
-		Published:      published,
-		Dropped:        dropped,
-		Gaps:           m.bus.Gaps(),
-		Rejected:       m.bus.Rejected(),
-		Subscribers:    subscribers,
-		PerSubscriber:  m.bus.Drops(),
-	}
-}
-
-// handleEvents streams the fleet bus over SSE through the shared
-// EventStreamer: every frame carries a resumable cursor, reconnects
-// replay from the bus ring or receive an explicit reset, shed loss
-// arrives as gap frames, and an idle stream carries keepalives. SSE
-// streams bypass the concurrency limit (they are long-lived by design),
-// so the subscriber cap is what bounds them.
-func (m *Manager) handleEvents(w http.ResponseWriter, r *http.Request) {
-	es := &EventStreamer{
-		Bus:          m.bus,
-		Snapshot:     m.reg.Snapshot,
-		WriteTimeout: m.cfg.SSEWriteTimeout,
-		Heartbeat:    m.cfg.SSEHeartbeat,
-		Buffer:       m.cfg.EventBuffer,
-	}
-	es.ServeHTTP(w, r)
 }
 
 func (m *Manager) handleHealthz(w http.ResponseWriter, r *http.Request) {
@@ -237,7 +205,7 @@ func (m *Manager) handleHealthz(w http.ResponseWriter, r *http.Request) {
 		status = http.StatusServiceUnavailable
 		state = "degraded"
 	}
-	writeJSON(w, status, struct {
+	WriteJSON(w, status, struct {
 		Status     string `json:"status"`
 		ReadersUp  int    `json:"readers_up"`
 		Readers    int    `json:"readers"`

@@ -1,219 +1,127 @@
 package fleet
 
 import (
-	"fmt"
-	"net/http"
 	"sort"
-	"strings"
+
+	"tagwatch/internal/promtext"
 )
 
-// handleMetrics renders the fleet's operational counters in the
-// Prometheus text exposition format (version 0.0.4) — hand-rolled so the
-// repo stays standard-library only.
-func (m *Manager) handleMetrics(w http.ResponseWriter, r *http.Request) {
-	var b strings.Builder
-
-	gauge := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n", name, help, name)
-	}
-	counter := func(name, help string) {
-		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-	}
-
+// writeMetrics renders the fleet's operational counters on p.
+func (m *Manager) writeMetrics(p *promtext.Page) {
 	readers := m.Readers()
 
-	gauge("tagwatch_fleet_reader_up", "Whether the reader's LLRP session is established.")
-	for _, rs := range readers {
-		up := 0
-		if rs.State == StateUp.String() {
-			up = 1
-		}
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_up{reader=%q} %d\n", rs.Name, up)
-	}
-
-	gauge("tagwatch_fleet_reader_state", "Supervisor state as a labelled 0/1 gauge.")
-	states := []ReaderState{StateConnecting, StateUp, StateBackoff, StateDown}
-	for _, rs := range readers {
-		for _, st := range states {
-			v := 0
-			if rs.State == st.String() {
-				v = 1
-			}
-			fmt.Fprintf(&b, "tagwatch_fleet_reader_state{reader=%q,state=%q} %d\n", rs.Name, st.String(), v)
+	perReader := func(f promtext.Family, value func(ReaderStatus) int64) {
+		for _, rs := range readers {
+			f.Int(value(rs), "reader", rs.Name)
 		}
 	}
-
-	counter("tagwatch_fleet_reader_dial_attempts_total", "Connect attempts per reader.")
+	perReader(p.Gauge("tagwatch_fleet_reader_up", "Whether the reader's LLRP session is established."),
+		func(rs ReaderStatus) int64 { return promtext.Bool(rs.State == StateUp.String()) })
+	f := p.Gauge("tagwatch_fleet_reader_state", "Supervisor state as a labelled 0/1 gauge.")
 	for _, rs := range readers {
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_dial_attempts_total{reader=%q} %d\n", rs.Name, rs.Attempts)
-	}
-	counter("tagwatch_fleet_reader_reconnects_total", "Successful re-established sessions per reader.")
-	for _, rs := range readers {
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_reconnects_total{reader=%q} %d\n", rs.Name, rs.Reconnects)
-	}
-	counter("tagwatch_fleet_reader_cycles_total", "Tagwatch cycles completed per reader.")
-	for _, rs := range readers {
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_cycles_total{reader=%q} %d\n", rs.Name, rs.Cycles)
-	}
-	counter("tagwatch_fleet_reader_cycle_errors_total", "Cycles that ended with a transport error per reader.")
-	for _, rs := range readers {
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_cycle_errors_total{reader=%q} %d\n", rs.Name, rs.CycleErrors)
-	}
-	counter("tagwatch_fleet_reader_failures_total", "Consecutive dial/session failures currently accumulated per reader.")
-	for _, rs := range readers {
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_failures_total{reader=%q} %d\n", rs.Name, rs.ConsecutiveFailures)
-	}
-	counter("tagwatch_fleet_reader_readings_total", "Tag readings delivered per reader.")
-	for _, rs := range readers {
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_readings_total{reader=%q} %d\n", rs.Name, rs.Readings)
-	}
-	gauge("tagwatch_fleet_reader_tripped", "Whether the supervisor spent its panic-restart budget and is dead.")
-	for _, rs := range readers {
-		tripped := 0
-		if rs.Tripped {
-			tripped = 1
+		for _, st := range []ReaderState{StateConnecting, StateUp, StateBackoff, StateDown} {
+			f.Int(promtext.Bool(rs.State == st.String()), "reader", rs.Name, "state", st.String())
 		}
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_tripped{reader=%q} %d\n", rs.Name, tripped)
 	}
-	gauge("tagwatch_fleet_reader_panic_restarts", "Panic restarts inside the current budget window per reader.")
+	perReader(p.Counter("tagwatch_fleet_reader_dial_attempts_total", "Connect attempts per reader."),
+		func(rs ReaderStatus) int64 { return int64(rs.Attempts) })
+	perReader(p.Counter("tagwatch_fleet_reader_reconnects_total", "Successful re-established sessions per reader."),
+		func(rs ReaderStatus) int64 { return int64(rs.Reconnects) })
+	perReader(p.Counter("tagwatch_fleet_reader_cycles_total", "Tagwatch cycles completed per reader."),
+		func(rs ReaderStatus) int64 { return int64(rs.Cycles) })
+	perReader(p.Counter("tagwatch_fleet_reader_cycle_errors_total", "Cycles that ended with a transport error per reader."),
+		func(rs ReaderStatus) int64 { return int64(rs.CycleErrors) })
+	perReader(p.Counter("tagwatch_fleet_reader_failures_total", "Consecutive dial/session failures currently accumulated per reader."),
+		func(rs ReaderStatus) int64 { return int64(rs.ConsecutiveFailures) })
+	f = p.Counter("tagwatch_fleet_reader_readings_total", "Tag readings delivered per reader.")
 	for _, rs := range readers {
-		fmt.Fprintf(&b, "tagwatch_fleet_reader_panic_restarts{reader=%q} %d\n", rs.Name, rs.PanicRestarts)
+		f.Uint(rs.Readings, "reader", rs.Name)
 	}
+	perReader(p.Gauge("tagwatch_fleet_reader_tripped", "Whether the supervisor spent its panic-restart budget and is dead."),
+		func(rs ReaderStatus) int64 { return promtext.Bool(rs.Tripped) })
+	perReader(p.Gauge("tagwatch_fleet_reader_panic_restarts", "Panic restarts inside the current budget window per reader."),
+		func(rs ReaderStatus) int64 { return int64(rs.PanicRestarts) })
 
 	tags := m.reg.Snapshot()
 	mobile := 0
-	perReader := make(map[string]int)
+	owned := make(map[string]int)
 	for _, t := range tags {
 		if t.Mobile {
 			mobile++
 		}
-		perReader[t.Reader]++
+		owned[t.Reader]++
 	}
-	gauge("tagwatch_fleet_registry_tags", "Distinct tags in the merged registry.")
-	fmt.Fprintf(&b, "tagwatch_fleet_registry_tags %d\n", len(tags))
-	gauge("tagwatch_fleet_registry_mobile_tags", "Tags currently assessed as mobile.")
-	fmt.Fprintf(&b, "tagwatch_fleet_registry_mobile_tags %d\n", mobile)
-	gauge("tagwatch_fleet_registry_owned_tags", "Tags last seen by each reader.")
-	owners := make([]string, 0, len(perReader))
-	for name := range perReader {
+	p.Gauge("tagwatch_fleet_registry_tags", "Distinct tags in the merged registry.").Int(int64(len(tags)))
+	p.Gauge("tagwatch_fleet_registry_mobile_tags", "Tags currently assessed as mobile.").Int(int64(mobile))
+	f = p.Gauge("tagwatch_fleet_registry_owned_tags", "Tags last seen by each reader.")
+	owners := make([]string, 0, len(owned))
+	for name := range owned {
 		owners = append(owners, name)
 	}
 	sort.Strings(owners)
 	for _, name := range owners {
-		fmt.Fprintf(&b, "tagwatch_fleet_registry_owned_tags{reader=%q} %d\n", name, perReader[name])
+		f.Int(int64(owned[name]), "reader", name)
 	}
 
 	obs, handoffs := m.reg.Stats()
-	counter("tagwatch_fleet_registry_observations_total", "Readings merged into the registry.")
-	fmt.Fprintf(&b, "tagwatch_fleet_registry_observations_total %d\n", obs)
-	counter("tagwatch_fleet_registry_handoffs_total", "Reader-to-reader tag transitions.")
-	fmt.Fprintf(&b, "tagwatch_fleet_registry_handoffs_total %d\n", handoffs)
+	p.Counter("tagwatch_fleet_registry_observations_total", "Readings merged into the registry.").Uint(obs)
+	p.Counter("tagwatch_fleet_registry_handoffs_total", "Reader-to-reader tag transitions.").Uint(handoffs)
 
 	evicted, quarantinedObs, qs := m.reg.GuardStats()
-	counter("tagwatch_fleet_registry_evicted_total", "Tags evicted by the registry capacity bound.")
-	fmt.Fprintf(&b, "tagwatch_fleet_registry_evicted_total %d\n", evicted)
-	counter("tagwatch_fleet_registry_quarantined_total", "Observations refused while their EPC sat in quarantine.")
-	fmt.Fprintf(&b, "tagwatch_fleet_registry_quarantined_total %d\n", quarantinedObs)
-	counter("tagwatch_guard_quarantine_held_total", "Sightings held on probation by the ghost-tag quarantine.")
-	fmt.Fprintf(&b, "tagwatch_guard_quarantine_held_total %d\n", qs.Held)
-	counter("tagwatch_guard_quarantine_confirmed_total", "EPCs that cleared quarantine and were admitted.")
-	fmt.Fprintf(&b, "tagwatch_guard_quarantine_confirmed_total %d\n", qs.Confirmed)
-	counter("tagwatch_guard_quarantine_evicted_total", "Probationary EPCs displaced by quarantine ring overflow.")
-	fmt.Fprintf(&b, "tagwatch_guard_quarantine_evicted_total %d\n", qs.Evicted)
-	counter("tagwatch_guard_quarantine_expired_total", "Probation windows that lapsed and restarted.")
-	fmt.Fprintf(&b, "tagwatch_guard_quarantine_expired_total %d\n", qs.Expired)
-	gauge("tagwatch_guard_quarantine_size", "EPCs currently on probation.")
-	fmt.Fprintf(&b, "tagwatch_guard_quarantine_size %d\n", qs.Size)
+	p.Counter("tagwatch_fleet_registry_evicted_total", "Tags evicted by the registry capacity bound.").Uint(evicted)
+	p.Counter("tagwatch_fleet_registry_quarantined_total", "Observations refused while their EPC sat in quarantine.").Uint(quarantinedObs)
+	p.Counter("tagwatch_guard_quarantine_held_total", "Sightings held on probation by the ghost-tag quarantine.").Uint(qs.Held)
+	p.Counter("tagwatch_guard_quarantine_confirmed_total", "EPCs that cleared quarantine and were admitted.").Uint(qs.Confirmed)
+	p.Counter("tagwatch_guard_quarantine_evicted_total", "Probationary EPCs displaced by quarantine ring overflow.").Uint(qs.Evicted)
+	p.Counter("tagwatch_guard_quarantine_expired_total", "Probation windows that lapsed and restarted.").Uint(qs.Expired)
+	p.Gauge("tagwatch_guard_quarantine_size", "EPCs currently on probation.").Int(int64(qs.Size))
 
-	published, dropped, subscribers := m.bus.Stats()
-	counter("tagwatch_fleet_bus_events_total", "Events published on the fleet bus.")
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_events_total %d\n", published)
-	counter("tagwatch_fleet_bus_dropped_total", "Events dropped across all slow subscribers.")
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_dropped_total %d\n", dropped)
-	counter("tagwatch_fleet_bus_rejected_total", "Subscriptions refused by the subscriber limit.")
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_rejected_total %d\n", m.bus.Rejected())
-	gauge("tagwatch_fleet_bus_subscribers", "Live bus subscribers.")
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_subscribers %d\n", subscribers)
-	counter("tagwatch_fleet_bus_gaps_total", "Synthetic gap events delivered across all subscribers (announced loss intervals).")
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_gaps_total %d\n", m.bus.Gaps())
-	gauge("tagwatch_fleet_bus_last_seq", "Newest published bus sequence number.")
-	oldest, newest := m.bus.Coverage()
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_last_seq %d\n", newest)
-	gauge("tagwatch_fleet_bus_ring_oldest_seq", "Oldest sequence still replayable from the ring (the resume floor).")
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_ring_oldest_seq %d\n", oldest)
-	gauge("tagwatch_fleet_bus_ring_window", "Events currently retained for replay.")
-	window := uint64(0)
-	if newest >= oldest && oldest > 0 {
-		window = newest - oldest + 1
-	}
-	fmt.Fprintf(&b, "tagwatch_fleet_bus_ring_window %d\n", window)
-	counter("tagwatch_fleet_bus_subscriber_dropped_total", "Events dropped per live subscriber.")
-	drops := m.bus.Drops()
-	for _, sd := range drops {
-		fmt.Fprintf(&b, "tagwatch_fleet_bus_subscriber_dropped_total{subscriber=\"%d\"} %d\n", sd.ID, sd.Dropped)
-	}
-	counter("tagwatch_fleet_bus_subscriber_gaps_total", "Gap events delivered per live subscriber.")
-	for _, sd := range drops {
-		fmt.Fprintf(&b, "tagwatch_fleet_bus_subscriber_gaps_total{subscriber=\"%d\"} %d\n", sd.ID, sd.Gaps)
-	}
+	m.bus.Status().WriteMetrics(p, "tagwatch_fleet_bus")
 
 	ast := m.admission.Stats()
-	counter("tagwatch_guard_api_admitted_total", "API requests that acquired a concurrency slot (or needed none).")
-	fmt.Fprintf(&b, "tagwatch_guard_api_admitted_total %d\n", ast.Admitted)
-	counter("tagwatch_guard_api_rate_limited_total", "API requests rejected 429 by the per-client token bucket.")
-	fmt.Fprintf(&b, "tagwatch_guard_api_rate_limited_total %d\n", ast.RateLimited)
-	counter("tagwatch_guard_api_shed_total", "API requests shed 503 by the concurrency limiter.")
-	fmt.Fprintf(&b, "tagwatch_guard_api_shed_total %d\n", ast.Shed)
-	counter("tagwatch_guard_api_panics_total", "HTTP handler panics contained into 500s.")
-	fmt.Fprintf(&b, "tagwatch_guard_api_panics_total %d\n", ast.Panics)
-	gauge("tagwatch_guard_api_concurrency_limit", "Current adaptive (AIMD) concurrency limit.")
-	fmt.Fprintf(&b, "tagwatch_guard_api_concurrency_limit %d\n", ast.Limit)
-	gauge("tagwatch_guard_api_inflight", "API requests currently holding slots.")
-	fmt.Fprintf(&b, "tagwatch_guard_api_inflight %d\n", ast.Inflight)
-	gauge("tagwatch_guard_api_clients", "Client token buckets currently tracked.")
-	fmt.Fprintf(&b, "tagwatch_guard_api_clients %d\n", ast.Clients)
+	p.Counter("tagwatch_guard_api_admitted_total", "API requests that acquired a concurrency slot (or needed none).").Uint(ast.Admitted)
+	p.Counter("tagwatch_guard_api_rate_limited_total", "API requests rejected 429 by the per-client token bucket.").Uint(ast.RateLimited)
+	p.Counter("tagwatch_guard_api_shed_total", "API requests shed 503 by the concurrency limiter.").Uint(ast.Shed)
+	p.Counter("tagwatch_guard_api_panics_total", "HTTP handler panics contained into 500s.").Uint(ast.Panics)
+	p.Gauge("tagwatch_guard_api_concurrency_limit", "Current adaptive (AIMD) concurrency limit.").Int(int64(ast.Limit))
+	p.Gauge("tagwatch_guard_api_inflight", "API requests currently holding slots.").Int(int64(ast.Inflight))
+	p.Gauge("tagwatch_guard_api_clients", "Client token buckets currently tracked.").Int(int64(ast.Clients))
 
-	counter("tagwatch_guard_panics_total", "Panics contained per supervised component.")
+	f = p.Counter("tagwatch_guard_panics_total", "Panics contained per supervised component.")
 	for _, cc := range m.sentinel.Counts() {
-		fmt.Fprintf(&b, "tagwatch_guard_panics_total{component=%q} %d\n", cc.Component, cc.Count)
+		f.Uint(cc.Count, "component", cc.Component)
 	}
 
-	if peers := m.ReplicationStatus(); len(peers) > 0 {
-		gauge("tagwatch_replication_peer_connected", "Whether the replication session to the peer is live.")
-		for _, p := range peers {
-			v := 0
-			if p.Connected {
-				v = 1
-			}
-			fmt.Fprintf(&b, "tagwatch_replication_peer_connected{peer=%q} %d\n", p.Addr, v)
-		}
-		gauge("tagwatch_replication_peer_lag_bytes", "Committed-minus-acked journal bytes per peer (-1 when spanning generations).")
-		for _, p := range peers {
-			fmt.Fprintf(&b, "tagwatch_replication_peer_lag_bytes{peer=%q} %d\n", p.Addr, p.LagBytes)
-		}
-		gauge("tagwatch_replication_peer_last_ack_age_ms", "Milliseconds since the peer's last ack (-1 before any).")
-		for _, p := range peers {
-			fmt.Fprintf(&b, "tagwatch_replication_peer_last_ack_age_ms{peer=%q} %d\n", p.Addr, p.LastAckAgeMS)
-		}
-		counter("tagwatch_replication_peer_records_sent_total", "Journal records shipped per peer.")
-		for _, p := range peers {
-			fmt.Fprintf(&b, "tagwatch_replication_peer_records_sent_total{peer=%q} %d\n", p.Addr, p.Records)
-		}
-		counter("tagwatch_replication_peer_snapshots_sent_total", "Snapshot re-anchors shipped per peer.")
-		for _, p := range peers {
-			fmt.Fprintf(&b, "tagwatch_replication_peer_snapshots_sent_total{peer=%q} %d\n", p.Addr, p.Snapshots)
-		}
-		counter("tagwatch_replication_peer_resyncs_total", "Times the peer's cursor was re-anchored instead of resumed.")
-		for _, p := range peers {
-			fmt.Fprintf(&b, "tagwatch_replication_peer_resyncs_total{peer=%q} %d\n", p.Addr, p.Resyncs)
-		}
-		counter("tagwatch_replication_peer_reconnects_total", "Replication sessions re-established per peer.")
-		for _, p := range peers {
-			fmt.Fprintf(&b, "tagwatch_replication_peer_reconnects_total{peer=%q} %d\n", p.Addr, p.Reconnects)
-		}
+	peers := m.ReplicationStatus()
+	if len(peers) == 0 {
+		return
 	}
-
-	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-	w.WriteHeader(http.StatusOK)
-	w.Write([]byte(b.String()))
+	f = p.Gauge("tagwatch_replication_peer_connected", "Whether the replication session to the peer is live.")
+	for _, ps := range peers {
+		f.Int(promtext.Bool(ps.Connected), "peer", ps.Addr)
+	}
+	f = p.Gauge("tagwatch_replication_peer_lag_bytes", "Committed-minus-acked journal bytes per peer (-1 when spanning generations).")
+	for _, ps := range peers {
+		f.Int(ps.LagBytes, "peer", ps.Addr)
+	}
+	f = p.Gauge("tagwatch_replication_peer_last_ack_age_ms", "Milliseconds since the peer's last ack (-1 before any).")
+	for _, ps := range peers {
+		f.Int(ps.LastAckAgeMS, "peer", ps.Addr)
+	}
+	f = p.Counter("tagwatch_replication_peer_records_sent_total", "Journal records shipped per peer.")
+	for _, ps := range peers {
+		f.Uint(ps.Records, "peer", ps.Addr)
+	}
+	f = p.Counter("tagwatch_replication_peer_snapshots_sent_total", "Snapshot re-anchors shipped per peer.")
+	for _, ps := range peers {
+		f.Uint(ps.Snapshots, "peer", ps.Addr)
+	}
+	f = p.Counter("tagwatch_replication_peer_resyncs_total", "Times the peer's cursor was re-anchored instead of resumed.")
+	for _, ps := range peers {
+		f.Uint(ps.Resyncs, "peer", ps.Addr)
+	}
+	f = p.Counter("tagwatch_replication_peer_reconnects_total", "Replication sessions re-established per peer.")
+	for _, ps := range peers {
+		f.Uint(ps.Reconnects, "peer", ps.Addr)
+	}
 }

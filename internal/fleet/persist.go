@@ -99,6 +99,8 @@ func (m *Manager) applyRecord(raw []byte) error {
 // flushJournal drains the registry's dirty set into the journal. On
 // return with nil every change up to the drain is on stable storage.
 func (m *Manager) flushJournal() error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
 	states, dropped := m.reg.DrainDirty()
 	if len(states) == 0 && len(dropped) == 0 {
 		return nil

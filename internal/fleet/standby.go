@@ -9,6 +9,7 @@ import (
 	"sync"
 	"time"
 
+	"tagwatch/internal/promtext"
 	"tagwatch/internal/replication"
 )
 
@@ -146,7 +147,7 @@ func (s *Standby) Handler() http.Handler {
 		if !st.Connected {
 			code, state = http.StatusServiceUnavailable, "degraded"
 		}
-		writeJSON(w, code, struct {
+		WriteJSON(w, code, struct {
 			Status    string `json:"status"`
 			Role      string `json:"role"`
 			Connected bool   `json:"connected"`
@@ -156,37 +157,20 @@ func (s *Standby) Handler() http.Handler {
 		s.mu.Lock()
 		started := s.started
 		s.mu.Unlock()
-		writeJSON(w, http.StatusOK, struct {
+		WriteJSON(w, http.StatusOK, struct {
 			Role        string                    `json:"role"`
 			UptimeSecs  int64                     `json:"uptime_secs"`
 			Replication replication.StandbyStatus `json:"replication"`
 		}{"standby", int64(time.Since(started).Seconds()), s.repl.Status()})
 	})
-	mux.HandleFunc("GET /metrics", func(w http.ResponseWriter, r *http.Request) {
+	mux.Handle("GET /metrics", promtext.Handler(func(p *promtext.Page) {
 		st := s.repl.Status()
-		var b []byte
-		appendf := func(format string, args ...any) {
-			b = fmt.Appendf(b, format, args...)
-		}
-		connected := 0
-		if st.Connected {
-			connected = 1
-		}
-		appendf("# HELP tagwatch_standby_connected Whether a primary's replication session is live.\n# TYPE tagwatch_standby_connected gauge\n")
-		appendf("tagwatch_standby_connected %d\n", connected)
-		appendf("# HELP tagwatch_standby_lag_bytes Primary committed-minus-applied journal bytes (-1 unknown).\n# TYPE tagwatch_standby_lag_bytes gauge\n")
-		appendf("tagwatch_standby_lag_bytes %d\n", st.LagBytes)
-		appendf("# HELP tagwatch_standby_records_applied_total Journal records applied from the stream.\n# TYPE tagwatch_standby_records_applied_total counter\n")
-		appendf("tagwatch_standby_records_applied_total %d\n", st.Records)
-		appendf("# HELP tagwatch_standby_snapshots_applied_total Snapshots applied from the stream.\n# TYPE tagwatch_standby_snapshots_applied_total counter\n")
-		appendf("tagwatch_standby_snapshots_applied_total %d\n", st.Snapshots)
-		appendf("# HELP tagwatch_standby_wipes_total Local stores discarded for a full resync.\n# TYPE tagwatch_standby_wipes_total counter\n")
-		appendf("tagwatch_standby_wipes_total %d\n", st.Wipes)
-		appendf("# HELP tagwatch_standby_sessions_total Replication sessions accepted.\n# TYPE tagwatch_standby_sessions_total counter\n")
-		appendf("tagwatch_standby_sessions_total %d\n", st.Sessions)
-		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
-		w.WriteHeader(http.StatusOK)
-		w.Write(b)
-	})
+		p.Gauge("tagwatch_standby_connected", "Whether a primary's replication session is live.").Int(promtext.Bool(st.Connected))
+		p.Gauge("tagwatch_standby_lag_bytes", "Primary committed-minus-applied journal bytes (-1 unknown).").Int(st.LagBytes)
+		p.Counter("tagwatch_standby_records_applied_total", "Journal records applied from the stream.").Uint(st.Records)
+		p.Counter("tagwatch_standby_snapshots_applied_total", "Snapshots applied from the stream.").Uint(st.Snapshots)
+		p.Counter("tagwatch_standby_wipes_total", "Local stores discarded for a full resync.").Uint(st.Wipes)
+		p.Counter("tagwatch_standby_sessions_total", "Replication sessions accepted.").Uint(st.Sessions)
+	}))
 	return mux
 }

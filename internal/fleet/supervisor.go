@@ -174,15 +174,7 @@ func (s *supervisor) backoffDelay() time.Duration {
 	s.mu.Lock()
 	n := s.consecFails
 	s.mu.Unlock()
-	if n < 1 {
-		n = 1
-	}
-	d := s.cfg.BackoffBase << uint(n-1)
-	if d > s.cfg.BackoffMax || d <= 0 {
-		d = s.cfg.BackoffMax
-	}
-	jitter := 0.8 + 0.4*s.rng.Float64()
-	return time.Duration(float64(d) * jitter)
+	return guard.Jitter(guard.Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, n), s.rng.Float64())
 }
 
 // run is the supervisor main loop; it returns when ctx is cancelled or the

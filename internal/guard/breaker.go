@@ -80,11 +80,29 @@ func (b *Breaker) Next(at time.Time) (delay time.Duration, ok bool) {
 	}
 	// Exponential in the number of in-window failures: sparse panics pay
 	// the base, a burst climbs toward the cap.
-	d := b.cfg.BackoffBase << uint(len(b.recent)-1)
-	if d > b.cfg.BackoffMax || d <= 0 {
-		d = b.cfg.BackoffMax
+	return Backoff(b.cfg.BackoffBase, b.cfg.BackoffMax, len(b.recent)), true
+}
+
+// Backoff is the delay before retry n of a failing operation (n < 1
+// counts as 1): base, doubled once per consecutive failure after the
+// first, capped at ceiling. Doubling stops at the cap, so no n
+// overflows.
+func Backoff(base, ceiling time.Duration, n int) time.Duration {
+	d := base
+	for i := 1; i < n && d < ceiling; i++ {
+		if d > ceiling/2 {
+			return ceiling
+		}
+		d *= 2
 	}
-	return d, true
+	return min(d, ceiling)
+}
+
+// Jitter spreads a backoff delay by ±20 % so clients that failed
+// together do not retry in lockstep: u, a uniform draw from [0, 1),
+// scales d by 0.8 + 0.4u.
+func Jitter(d time.Duration, u float64) time.Duration {
+	return time.Duration(float64(d) * (0.8 + 0.4*u))
 }
 
 // Tripped reports whether the budget has been exhausted.

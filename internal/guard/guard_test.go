@@ -2,6 +2,8 @@ package guard
 
 import (
 	"errors"
+	"math"
+	"math/rand"
 	"testing"
 	"time"
 )
@@ -121,6 +123,72 @@ func TestBreakerBackoffCaps(t *testing.T) {
 	}
 	if last != time.Second {
 		t.Fatalf("backoff did not cap: %v", last)
+	}
+}
+
+// TestBackoffSequences pins the delay sequence of every retry loop at
+// its default configuration: fleet reader redials (500ms..30s), edge
+// upstream and replication peer redials (100ms..5s), and core's
+// unhealthy-cycle pause and the panic-restart breaker (100ms..10s).
+// Past the cap the delay stays there, however many failures pile up.
+func TestBackoffSequences(t *testing.T) {
+	ms := time.Millisecond
+	cases := []struct {
+		name          string
+		base, ceiling time.Duration
+		want          []time.Duration // n = 1, 2, ...
+	}{
+		{"fleet reader", 500 * ms, 30 * time.Second,
+			[]time.Duration{500 * ms, time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 16 * time.Second, 30 * time.Second, 30 * time.Second}},
+		{"edge upstream, replication peer", 100 * ms, 5 * time.Second,
+			[]time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 5 * time.Second, 5 * time.Second}},
+		{"core pause, breaker", 100 * ms, 10 * time.Second,
+			[]time.Duration{100 * ms, 200 * ms, 400 * ms, 800 * ms, 1600 * ms, 3200 * ms, 6400 * ms, 10 * time.Second, 10 * time.Second}},
+		{"base above the cap", 30 * time.Second, 10 * time.Second,
+			[]time.Duration{10 * time.Second, 10 * time.Second}},
+	}
+	for _, tc := range cases {
+		for i, want := range tc.want {
+			if got := Backoff(tc.base, tc.ceiling, i+1); got != want {
+				t.Errorf("%s: Backoff(n=%d) = %v, want %v", tc.name, i+1, got, want)
+			}
+		}
+		for _, n := range []int{-3, 0} {
+			if got := Backoff(tc.base, tc.ceiling, n); got != tc.want[0] {
+				t.Errorf("%s: Backoff(n=%d) = %v, want the first delay %v", tc.name, n, got, tc.want[0])
+			}
+		}
+		for _, n := range []int{64, 65, 1 << 20, math.MaxInt} {
+			if got := Backoff(tc.base, tc.ceiling, n); got != tc.ceiling {
+				t.Errorf("%s: Backoff(n=%d) = %v, want the cap %v", tc.name, n, got, tc.ceiling)
+			}
+		}
+	}
+	// A cap near the top of the range must not overflow while doubling.
+	if got := Backoff(time.Second, math.MaxInt64, 100); got != math.MaxInt64 {
+		t.Errorf("Backoff toward MaxInt64 = %v", got)
+	}
+}
+
+// TestJitterSequence: Jitter scales by 0.8 + 0.4u, and a seeded draw
+// sequence gives one fixed delay sequence (the fleet reader default,
+// seed 1).
+func TestJitterSequence(t *testing.T) {
+	d := 10 * time.Second
+	for _, tc := range []struct {
+		u    float64
+		want time.Duration
+	}{{0, 8 * time.Second}, {0.5, 10 * time.Second}, {0.75, 11 * time.Second}} {
+		if got := Jitter(d, tc.u); got != tc.want {
+			t.Errorf("Jitter(%v, %v) = %v, want %v", d, tc.u, got, tc.want)
+		}
+	}
+	rng := rand.New(rand.NewSource(1))
+	want := []time.Duration{520932057, 1176203635, 2131648042, 3900342699, 7758839990, 17195667666, 24787644230, 25878231056}
+	for i, w := range want {
+		if got := Jitter(Backoff(500*time.Millisecond, 30*time.Second, i+1), rng.Float64()); got != w {
+			t.Errorf("seeded delay %d = %d, want %d", i+1, got, w)
+		}
 	}
 }
 

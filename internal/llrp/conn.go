@@ -348,21 +348,29 @@ func (c *Conn) roundTrip(ctx context.Context, m Message) (Message, error) {
 	if !hasResp {
 		return Message{}, nil
 	}
+	var resp Message
+	var ok bool
 	select {
-	case resp, ok := <-ch:
-		if !ok {
-			return Message{}, c.readError()
-		}
-		if resp.Type != wantType && resp.Type != MsgErrorMessage {
-			return resp, fmt.Errorf("llrp: response type %d to request %d, want %d", resp.Type, m.Type, wantType)
-		}
-		return resp, nil
+	case resp, ok = <-ch:
 	case <-ctx.Done():
 		unregister()
 		return Message{}, ctx.Err()
 	case <-c.closed:
+		// A reader may answer and hang up at once (CLOSE_CONNECTION), so
+		// the response can already wait in ch when closed fires; select
+		// picks among ready cases at random, so take it if it is there.
+		select {
+		case resp, ok = <-ch:
+		default:
+		}
+	}
+	if !ok {
 		return Message{}, c.readError()
 	}
+	if resp.Type != wantType && resp.Type != MsgErrorMessage {
+		return resp, fmt.Errorf("llrp: response type %d to request %d, want %d", resp.Type, m.Type, wantType)
+	}
+	return resp, nil
 }
 
 // statusOp performs a request whose response carries only an LLRPStatus,

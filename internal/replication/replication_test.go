@@ -212,6 +212,37 @@ func TestShipSnapshotAndRecords(t *testing.T) {
 	}
 }
 
+// TestSyncAfterSnapshotWithoutAppends: a snapshot rolls the primary's
+// journal into a new, empty generation. A standby caught up at the end
+// of the old generation must still be moved to the new committed cursor
+// without waiting for the next append; otherwise a primary that goes
+// quiet after a snapshot never reads synced.
+func TestSyncAfterSnapshotWithoutAppends(t *testing.T) {
+	primaryDir, standbyDir := t.TempDir(), t.TempDir()
+	st, err := statestore.Open(primaryDir, statestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		if err := st.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}()
+	model := make(map[string]int)
+	appendKVs(t, st, model, 0, 20)
+	h := startHarness(t, st, standbyDir, nil)
+	waitSynced(t, h.shipper)
+
+	snapshotModel(t, st, model)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := h.shipper.WaitSynced(ctx); err != nil {
+		t.Fatalf("standby never reached the snapshot's empty generation: %v (status %+v)", err, h.shipper.Status())
+	}
+	h.stop()
+	sameState(t, foldDir(t, standbyDir), model)
+}
+
 // TestLagKnownInGenerationZero is the regression test for the lag
 // gauge's "unknown" sentinel: generation 0 is a legitimate generation
 // for a young primary that has never snapshotted, so once heartbeats

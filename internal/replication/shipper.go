@@ -13,6 +13,7 @@ import (
 	"sync"
 	"time"
 
+	"tagwatch/internal/guard"
 	"tagwatch/internal/statestore"
 )
 
@@ -231,7 +232,7 @@ func (s *Shipper) runPeer(ctx context.Context, p *peer) {
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%s", s.cfg.PrimaryID, p.addr)
 	rng := mrand.New(mrand.NewSource(int64(h.Sum64())))
-	backoff := s.cfg.BackoffBase
+	failures := 0
 	for ctx.Err() == nil {
 		p.setState("dialing")
 		conn, err := s.dial(ctx, p.addr)
@@ -247,13 +248,12 @@ func (s *Shipper) runPeer(ctx context.Context, p *peer) {
 			return
 		}
 		if err == nil {
-			backoff = s.cfg.BackoffBase
+			failures = 0
 			continue
 		}
+		failures++
 		p.setState("backoff")
-		jitter := 1 + 0.2*(2*rng.Float64()-1)
-		delay := time.Duration(float64(backoff) * jitter)
-		backoff = min(backoff*2, s.cfg.BackoffMax)
+		delay := guard.Jitter(guard.Backoff(s.cfg.BackoffBase, s.cfg.BackoffMax, failures), rng.Float64())
 		select {
 		case <-ctx.Done():
 			return
@@ -346,6 +346,7 @@ func (s *Shipper) session(ctx context.Context, p *peer, conn net.Conn) error {
 	for {
 		// Drain everything committed, in bounded frames.
 		for {
+			from := reader.Cursor()
 			records, next, err := reader.Poll()
 			if errors.Is(err, statestore.ErrCursorGone) {
 				reader.Close()
@@ -358,7 +359,11 @@ func (s *Shipper) session(ctx context.Context, p *peer, conn net.Conn) error {
 			if err != nil {
 				return fmt.Errorf("replication: tail journal: %w", err)
 			}
-			if len(records) == 0 {
+			// A poll that only crossed into a new, still empty generation
+			// (a snapshot rolled the journal) ships an empty batch all the
+			// same: the standby must apply and ack the new cursor, or a
+			// primary that goes quiet after a snapshot never reads synced.
+			if len(records) == 0 && next == from {
 				break
 			}
 			if err := writeFrame(conn, s.cfg.FrameTimeout, fRecords, encodeRecords(next, records)); err != nil {
