@@ -64,12 +64,14 @@ crash:
 soak:
 	TAGWATCH_SOAK=full GOMEMLIMIT=512MiB go test -race -count=1 -run TestSoakFloodSurvival -v ./internal/fleet/
 
-# Short fuzz bursts on the wire-facing decoders, mirroring CI. Go allows
-# one -fuzz target per invocation.
+# Short fuzz bursts on the wire-facing decoders and the -chaos flag
+# parser, mirroring CI. Go allows one -fuzz target per invocation.
 fuzz-smoke:
 	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -run '^$$' ./internal/llrp/
 	go test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/epc/
 	go test -fuzz=FuzzParseCursor -fuzztime=10s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzParseSpec -fuzztime=10s -run '^$$' ./internal/chaos/
+	go test -fuzz=FuzzDecodeRecords -fuzztime=10s -run '^$$' ./internal/replication/
 
 # The perf-trajectory rig: the core data-plane benchmarks (wire codec,
 # schedule solver, motion model, EPC ops, WAL append, registry merge,

@@ -52,7 +52,7 @@ func BenchmarkFig03Trace(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		b.ReportMetric(float64(r.Trace.Total), "readings")
+		b.ReportMetric(float64(r.Trace.Stats.Readings), "readings")
 		b.ReportMetric(float64(r.HeroReads), "hero-reads")
 	}
 }

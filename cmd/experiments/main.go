@@ -22,116 +22,40 @@ import (
 
 func main() {
 	var (
-		fig    = flag.Int("fig", 0, "figure number to run (0 with -all runs everything)")
-		all    = flag.Bool("all", false, "run every figure")
-		full   = flag.Bool("full", false, "paper-scale settings (slower)")
-		seed   = flag.Int64("seed", 1, "random seed")
-		csvDir = flag.String("csv", "", "also write each figure's data as CSV under this directory")
-		svgDir = flag.String("svg", "", "also render each figure as SVG under this directory")
+		fig  = flag.Int("fig", 0, "figure number to run (0 with -all runs everything)")
+		all  = flag.Bool("all", false, "run every figure")
+		full = flag.Bool("full", false, "paper-scale settings (slower)")
+		seed = flag.Int64("seed", 1, "random seed")
 	)
 	flag.Parse()
 
 	opt := experiments.Options{Seed: *seed, Quick: !*full}
-	for _, dir := range []string{*csvDir, *svgDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				fmt.Fprintf(os.Stderr, "output dir: %v\n", err)
-				os.Exit(1)
-			}
-		}
-	}
-	emit := func(r interface {
-		fmt.Stringer
-		CSV() []experiments.CSVTable
-		Plots() []experiments.NamedPlot
-	}) error {
-		fmt.Println(r)
-		if *csvDir != "" {
-			for _, t := range r.CSV() {
-				if err := t.WriteCSV(*csvDir); err != nil {
-					return err
-				}
-			}
-		}
-		if *svgDir != "" {
-			for _, np := range r.Plots() {
-				if err := np.WriteSVG(*svgDir); err != nil {
-					return err
-				}
-			}
-		}
-		return nil
-	}
-	run := func(n int) error {
+	run := func(n int) (fmt.Stringer, error) {
 		switch n {
 		case 1:
-			r, err := experiments.Fig01(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig01(opt)
 		case 2:
-			r, err := experiments.Fig02(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig02(opt)
 		case 3, 4:
-			r, err := experiments.Fig03(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig03(opt)
 		case 8:
-			r, err := experiments.Fig08(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig08(opt)
 		case 12:
-			r, err := experiments.Fig12(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig12(opt)
 		case 13:
-			r, err := experiments.Fig13(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig13(opt)
 		case 14:
-			r, err := experiments.Fig14(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig14(opt)
 		case 15:
-			r, err := experiments.Fig15(opt, 2)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig15(opt, 2)
 		case 16:
-			r, err := experiments.Fig15(opt, 5)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig15(opt, 5)
 		case 17:
-			r, err := experiments.Fig17(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig17(opt)
 		case 18:
-			r, err := experiments.Fig18(opt)
-			if err != nil {
-				return err
-			}
-			return emit(r)
+			return experiments.Fig18(opt)
 		default:
-			return fmt.Errorf("unknown figure %d", n)
+			return nil, fmt.Errorf("unknown figure %d", n)
 		}
 	}
 
@@ -144,9 +68,11 @@ func main() {
 		figs = []int{*fig}
 	}
 	for _, n := range figs {
-		if err := run(n); err != nil {
+		r, err := run(n)
+		if err != nil {
 			fmt.Fprintf(os.Stderr, "fig %d: %v\n", n, err)
 			os.Exit(1)
 		}
+		fmt.Println(r)
 	}
 }

@@ -1,9 +1,9 @@
-// Command tracegen generates a sorting-facility reading trace and writes
-// it as CSV: one row per tag with arrival, departure, and reading counts,
-// plus a per-minute timeline. By default it models the paper's TrackPoint
-// facility (Figs. 3–4); -scenario swaps in any built-in scenario pack, so
-// this tool and the replay daemon (cmd/replayd) share one workload
-// factory.
+// Command tracegen compiles a scenario pack and writes it as CSV: one row
+// per tag with arrival, departure, and reading counts, or the per-minute
+// timeline. By default it compiles the trackpoint pack, the paper's
+// sorting facility (Figs. 3–4); -scenario swaps in any other built-in
+// pack, so this tool, Fig. 3/4 and the replay daemon (cmd/replayd) share
+// one workload factory.
 //
 // Usage:
 //
@@ -16,60 +16,42 @@ package main
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"time"
 
 	"tagwatch/internal/scenario"
-	"tagwatch/internal/trace"
 )
 
 func main() {
 	var (
 		hours    = flag.Float64("hours", 0, "override trace duration in hours (0 keeps the scenario's)")
-		tags     = flag.Int("tags", 0, "override distinct tag count (0 keeps the scenario's)")
+		tags     = flag.Int("tags", 0, "override the flowing population (0 keeps the scenario's)")
 		seed     = flag.Int64("seed", 1, "generation seed")
 		timeline = flag.Bool("timeline", false, "emit the per-minute timeline instead of per-tag rows")
 		adaptive = flag.Bool("adaptive", false, "replay the facility under the rate-adaptive policy")
-		scen     = flag.String("scenario", "", "built-in scenario pack to generate from (\"list\" to enumerate)")
+		scen     = flag.String("scenario", "trackpoint", "built-in scenario pack to generate from (\"list\" to enumerate)")
 	)
 	flag.Parse()
 
-	var cfg trace.Config
-	switch *scen {
-	case "":
-		cfg = trace.DefaultConfig()
-		if *hours == 0 {
-			*hours = 4
-		}
-		if *tags == 0 {
-			*tags = 527
-		}
-	case "list":
+	if *scen == "list" {
 		for _, p := range scenario.Packs() {
 			fmt.Printf("%-22s %s\n", p.Name, p.Description)
 		}
 		return
-	default:
-		spec, err := scenario.Lookup(*scen)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
-		cfg, err = spec.TraceConfig()
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "tracegen:", err)
-			os.Exit(1)
-		}
+	}
+	spec, err := scenario.Lookup(*scen)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracegen:", err)
+		os.Exit(1)
 	}
 	if *hours > 0 {
-		cfg.Duration = time.Duration(*hours * float64(time.Hour))
+		spec.Duration = time.Duration(*hours * float64(time.Hour))
 	}
 	if *tags > 0 {
-		cfg.Arrivals = *tags
+		spec.Population = *tags
 	}
-	cfg.RateAdaptive = *adaptive
-	tr, err := trace.Generate(cfg, rand.New(rand.NewSource(*seed)))
+	spec.RateAdaptive = *adaptive
+	tr, err := scenario.Compile(spec, *seed)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "tracegen:", err)
 		os.Exit(1)
@@ -78,17 +60,24 @@ func main() {
 	w := os.Stdout
 	if *timeline {
 		fmt.Fprintln(w, "minute,readings")
-		for m, c := range tr.Timeline {
+		for m, c := range tr.ReadingsPerMinute() {
 			fmt.Fprintf(w, "%d,%d\n", m, c)
 		}
 	} else {
-		fmt.Fprintln(w, "epc,arrive_s,depart_s,parked,gamma,crossing_reads,parked_reads")
+		fmt.Fprintln(w, "epc,arrive_s,depart_s,parked,crossing_reads,parked_reads")
 		for _, t := range tr.Tags {
-			fmt.Fprintf(w, "%s,%.0f,%.0f,%v,%.4f,%d,%d\n",
-				t.EPC, t.Arrive.Seconds(), t.Depart.Seconds(), t.Parked, t.Gamma,
-				t.CrossingReads, t.ParkedReads)
+			fmt.Fprintf(w, "%s,%.0f,%.0f,%v,%d,%d\n",
+				t.EPC, t.Arrive.Seconds(), t.Depart.Seconds(), t.Parked,
+				t.CrossingReads, t.Reads-t.CrossingReads)
 		}
 	}
-	fmt.Fprintf(os.Stderr, "tracegen: %d tags, %d readings over %v, peak %d concurrent movers, hottest tag %d reads\n",
-		len(tr.Tags), tr.Total, cfg.Duration, tr.PeakConcurrentMovers, tr.MaxTag().Reads())
+	hottest, peakMovers := 0, 0
+	for _, t := range tr.Tags {
+		hottest = max(hottest, t.Reads)
+	}
+	for _, ev := range tr.Events {
+		peakMovers = max(peakMovers, len(ev.Mobile))
+	}
+	fmt.Fprintf(os.Stderr, "tracegen: %d tags, %d readings over %v, peak %d movers read in one cycle, hottest tag %d reads\n",
+		len(tr.Tags), tr.Stats.Readings, spec.Duration, peakMovers, hottest)
 }

@@ -24,7 +24,7 @@ import (
 )
 
 // RestrictedPrefixes are the import paths (and their subpackages) that
-// must stay deterministic. Everything a trace, an experiment, or a
+// must stay deterministic. Everything a scenario, an experiment, or a
 // chaos replay depends on lives here.
 var RestrictedPrefixes = []string{
 	"tagwatch/internal/aloha",
@@ -38,7 +38,6 @@ var RestrictedPrefixes = []string{
 	"tagwatch/internal/scenario",
 	"tagwatch/internal/scene",
 	"tagwatch/internal/schedule",
-	"tagwatch/internal/trace",
 }
 
 // wallclockFuncs are the package time functions that observe or wait on

@@ -2,6 +2,7 @@ package chaos
 
 import (
 	"bytes"
+	"errors"
 	"io"
 	"net"
 	"testing"
@@ -488,5 +489,42 @@ func TestParseSpec(t *testing.T) {
 		if _, err := ParseSpec(bad); err == nil {
 			t.Fatalf("spec %q must error", bad)
 		}
+	}
+}
+
+// TestParseSpecRejectsMisbehavingValues pins the values that parse as
+// numbers but would break the injector: a NaN probability never fires and
+// breaks the Spec round trip, a negative duration or byte budget injects
+// nothing, and a skew past the int64 range panics in Injector.Skew.
+func TestParseSpecRejectsMisbehavingValues(t *testing.T) {
+	for _, tc := range []struct {
+		spec string
+		want error
+	}{
+		{"corrupt=NaN", ErrBadProbability},
+		{"refuse=nan", ErrBadProbability},
+		{"stall=-0.5", ErrBadProbability},
+		{"latency=-1s", ErrNegative},
+		{"jitter=-5ms", ErrNegative},
+		{"skew=-1s", ErrNegative},
+		{"blackhole-after=-1", ErrNegative},
+		{"partition=rx,partition-after=-2", ErrNegative},
+		{"flap=-1", ErrNegative},
+		{"skew=2000000h", ErrSkewTooLarge},
+	} {
+		t.Run(tc.spec, func(t *testing.T) {
+			cfg, err := ParseSpec(tc.spec)
+			if !errors.Is(err, tc.want) {
+				t.Fatalf("ParseSpec(%q) = %+v, %v; want %v", tc.spec, cfg, err, tc.want)
+			}
+		})
+	}
+	// The largest accepted skew still draws an offset within range.
+	cfg, err := ParseSpec("skew=" + maxSkew.String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d := New(cfg).Skew("reader-1"); d < -maxSkew || d > maxSkew {
+		t.Fatalf("skew %v outside ±%v", d, maxSkew)
 	}
 }

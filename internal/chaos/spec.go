@@ -1,11 +1,31 @@
 package chaos
 
 import (
+	"errors"
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
 )
+
+// Errors ParseSpec wraps for values that parse as numbers but would make
+// the injector misbehave.
+var (
+	// ErrBadProbability rejects a probability outside [0,1], NaN included:
+	// a NaN never fires, so it would inject nothing while looking enabled.
+	ErrBadProbability = errors.New("probability outside [0,1]")
+	// ErrNegative rejects a negative duration or byte budget, which would
+	// silently inject nothing.
+	ErrNegative = errors.New("negative duration or byte count")
+	// ErrSkewTooLarge rejects a skew beyond maxSkew, the largest magnitude
+	// Injector.Skew can draw an offset for.
+	ErrSkewTooLarge = errors.New("skew too large")
+)
+
+// maxSkew is the largest SkewMax whose offset range [-SkewMax, +SkewMax]
+// Injector.Skew can draw from without overflowing int64.
+const maxSkew = time.Duration(math.MaxInt64 / 2)
 
 // ParseSpec parses the compact key=value fault spec used by the -chaos
 // command-line flags, e.g.
@@ -15,7 +35,8 @@ import (
 // Keys: seed, latency, jitter, stall, truncate, corrupt, reset,
 // blackhole-after (bytes), refuse, partition (rx|tx|both),
 // partition-after (bytes), flap (bytes), skew (duration). Unknown keys
-// error rather than silently injecting nothing. An empty spec returns
+// and values that would silently inject nothing (a NaN probability, a
+// negative duration or byte count) error instead. An empty spec returns
 // the zero Config. Spec is the inverse: ParseSpec(cfg.Spec()) == cfg.
 func ParseSpec(spec string) (Config, error) {
 	var cfg Config
@@ -38,9 +59,9 @@ func ParseSpec(spec string) (Config, error) {
 		case "seed":
 			cfg.Seed, err = strconv.ParseInt(val, 10, 64)
 		case "latency":
-			cfg.Latency, err = time.ParseDuration(val)
+			cfg.Latency, err = parseDuration(val)
 		case "jitter":
-			cfg.Jitter, err = time.ParseDuration(val)
+			cfg.Jitter, err = parseDuration(val)
 		case "stall":
 			cfg.StallProb, err = parseProb(val)
 		case "truncate":
@@ -50,7 +71,7 @@ func ParseSpec(spec string) (Config, error) {
 		case "reset":
 			cfg.ResetProb, err = parseProb(val)
 		case "blackhole-after":
-			cfg.BlackholeAfter, err = strconv.ParseInt(val, 10, 64)
+			cfg.BlackholeAfter, err = parseBytes(val)
 		case "refuse":
 			cfg.RefuseProb, err = parseProb(val)
 		case "partition":
@@ -61,11 +82,14 @@ func ParseSpec(spec string) (Config, error) {
 				err = fmt.Errorf("direction %q not rx, tx, or both", val)
 			}
 		case "partition-after":
-			cfg.PartitionAfter, err = strconv.ParseInt(val, 10, 64)
+			cfg.PartitionAfter, err = parseBytes(val)
 		case "flap":
-			cfg.FlapBytes, err = strconv.ParseInt(val, 10, 64)
+			cfg.FlapBytes, err = parseBytes(val)
 		case "skew":
-			cfg.SkewMax, err = time.ParseDuration(val)
+			cfg.SkewMax, err = parseDuration(val)
+			if err == nil && cfg.SkewMax > maxSkew {
+				err = fmt.Errorf("%w (max %v)", ErrSkewTooLarge, maxSkew)
+			}
 		default:
 			return Config{}, fmt.Errorf("chaos: unknown fault %q", key)
 		}
@@ -126,8 +150,26 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
-		return 0, fmt.Errorf("probability %v outside [0,1]", p)
+	if !(p >= 0 && p <= 1) { // NaN fails both comparisons
+		return 0, fmt.Errorf("%w: %v", ErrBadProbability, p)
 	}
 	return p, nil
+}
+
+// parseDuration parses a non-negative duration.
+func parseDuration(s string) (time.Duration, error) {
+	d, err := time.ParseDuration(s)
+	if err == nil && d < 0 {
+		err = ErrNegative
+	}
+	return d, err
+}
+
+// parseBytes parses a non-negative byte count.
+func parseBytes(s string) (int64, error) {
+	n, err := strconv.ParseInt(s, 10, 64)
+	if err == nil && n < 0 {
+		err = ErrNegative
+	}
+	return n, err
 }

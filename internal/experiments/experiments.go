@@ -7,13 +7,11 @@ package experiments
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"strings"
 	"time"
 
 	"tagwatch/internal/epc"
-	"tagwatch/internal/reader"
 	"tagwatch/internal/rf"
 	"tagwatch/internal/scene"
 )
@@ -26,9 +24,6 @@ type Options struct {
 	// settings match the paper's scales.
 	Quick bool
 }
-
-// DefaultOptions is the quick, seeded configuration.
-func DefaultOptions() Options { return Options{Seed: 1, Quick: true} }
 
 // pick chooses between the quick and full value of a scale parameter.
 func (o Options) pick(quick, full int) int {
@@ -121,28 +116,10 @@ func turntableScene(rng *rand.Rand, nTotal, nMob int) (*scene.Scene, []epc.EPC, 
 	return scn, movers, static, nil
 }
 
-// countReads tallies reads per tag.
-func countReads(reads []reader.TagRead) map[epc.EPC]int {
-	out := make(map[epc.EPC]int)
-	for _, r := range reads {
-		out[r.EPC]++
-	}
-	return out
-}
-
 // hz converts a count over a virtual span into a rate.
 func hz(count int, span time.Duration) float64 {
 	if span <= 0 {
 		return 0
 	}
 	return float64(count) / span.Seconds()
-}
-
-// cos/sin shorthands for scene geometry.
-func cos(x float64) float64 { return math.Cos(x) }
-func sin(x float64) float64 { return math.Sin(x) }
-
-// TurntableSceneForDebug exposes the turntable rig for ad-hoc diagnostics.
-func TurntableSceneForDebug(rng *rand.Rand, nTotal, nMob int) (*scene.Scene, []epc.EPC, []epc.EPC, error) {
-	return turntableScene(rng, nTotal, nMob)
 }

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"time"
 
@@ -64,7 +65,7 @@ func fig01Scene(seed int64, k int) (*scene.Scene, epc.EPC, scene.Trajectory) {
 	}
 	for i, c := range companions {
 		ang := float64(i) * 1.3
-		scn.AddTag(c, scene.Stationary{P: rf.Pt(0.45*cos(ang), 0.45*sin(ang), 0)})
+		scn.AddTag(c, scene.Stationary{P: rf.Pt(0.45*math.Cos(ang), 0.45*math.Sin(ang), 0)})
 	}
 	return scn, mobile, track
 }

@@ -286,9 +286,11 @@ type Manager struct {
 
 	// store is the durable registry backing; nil when StateDir is unset.
 	store *statestore.Store
-	// flushMu serialises journal flushes, so a flush that finds the
-	// dirty set empty still returns only after a concurrent flush has
-	// appended what it drained (SyncReplication's quiesce relies on it).
+	// flushMu serialises journal flushes and snapshots, so a flush that
+	// finds the dirty set empty still returns only after a concurrent
+	// flush has appended what it drained (SyncReplication's quiesce
+	// relies on it), and no flush appends an image older than a snapshot
+	// after it.
 	flushMu sync.Mutex
 	// shipper streams the store's journal to standbys; nil when
 	// ReplicateTo is empty.

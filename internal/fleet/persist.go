@@ -126,7 +126,7 @@ func (m *Manager) flushJournal() error {
 		if errors.Is(err, statestore.ErrSnapshotNeeded) {
 			// Re-anchor after a mid-chain recovery; the drained changes
 			// are still live in the registry, so the snapshot covers them.
-			return m.writeSnapshot()
+			return m.writeSnapshotLocked()
 		}
 		return err
 	}
@@ -134,19 +134,26 @@ func (m *Manager) flushJournal() error {
 }
 
 // writeSnapshot persists the full registry as a new snapshot generation.
+// It holds flushMu, so no journal flush can drain an image before the
+// snapshot and append it after.
 func (m *Manager) writeSnapshot() error {
+	m.flushMu.Lock()
+	defer m.flushMu.Unlock()
+	return m.writeSnapshotLocked()
+}
+
+// writeSnapshotLocked is writeSnapshot for a caller that holds flushMu.
+// It drains the dirty set before it copies the registry: every drained
+// change is in the copy, and a change made after the drain stays dirty
+// for the next flush to journal after this snapshot.
+func (m *Manager) writeSnapshotLocked() error {
+	m.reg.DrainDirty()
 	env := fleetEnvelope{Version: fleetStateVersion, Tags: m.reg.Snapshot()}
 	var buf bytes.Buffer
 	if err := json.NewEncoder(&buf).Encode(env); err != nil {
 		return fmt.Errorf("fleet: encode state snapshot: %w", err)
 	}
-	if err := m.store.WriteSnapshot(buf.Bytes()); err != nil {
-		return err
-	}
-	// Anything drained-but-unappended or still dirty is covered by the
-	// snapshot just written.
-	m.reg.DrainDirty()
-	return nil
+	return m.store.WriteSnapshot(buf.Bytes())
 }
 
 // checkpointLoop periodically journals dirty registry entries and writes

@@ -3,10 +3,15 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"fmt"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tagwatch/internal/core"
+	"tagwatch/internal/epc"
+	"tagwatch/internal/statestore"
 )
 
 // regJSON canonicalises a registry for comparison: sorted snapshot,
@@ -151,5 +156,141 @@ func TestFleetStateJournalSurvivesCrash(t *testing.T) {
 	defer m4.store.Close()
 	if got := regJSON(t, m4.reg); got != want {
 		t.Fatalf("snapshot restore differs:\n got %s\nwant %s", got, want)
+	}
+}
+
+// snapshotHookFS runs hook whenever the store creates a snapshot's temp
+// file: a point inside writeSnapshot after the registry was copied.
+type snapshotHookFS struct {
+	statestore.FS
+	hook func()
+}
+
+func (fs *snapshotHookFS) Create(name string) (statestore.File, error) {
+	if fs.hook != nil && strings.HasSuffix(name, ".tmp") {
+		fs.hook()
+	}
+	return fs.FS.Create(name)
+}
+
+// TestFleetStateSnapshotKeepsChangeDuringWrite observes a new tag while
+// the snapshot is being written. The snapshot cannot hold it, so it must
+// stay dirty for the next flush rather than be drained unwritten.
+func TestFleetStateSnapshotKeepsChangeDuringWrite(t *testing.T) {
+	hookFS := &snapshotHookFS{FS: statestore.OSFS{}}
+	cfg := DefaultConfig()
+	cfg.StateDir = t.TempDir()
+	cfg.StateFS = hookFS
+	early := mustEPC(t, "30f4ab12cd0045e100000020")
+	late := mustEPC(t, "30f4ab12cd0045e100000021")
+
+	m := New(cfg)
+	if err := m.openState(); err != nil {
+		t.Fatal(err)
+	}
+	m.reg.Observe("r0", core.Reading{EPC: early, Antenna: 1}, time.Now())
+	hookFS.hook = func() {
+		hookFS.hook = nil
+		m.reg.Observe("r0", core.Reading{EPC: late, Antenna: 2}, time.Now())
+	}
+	if err := m.writeSnapshot(); err != nil {
+		t.Fatal(err)
+	}
+	if hookFS.hook != nil {
+		t.Fatal("the snapshot created no temp file")
+	}
+	if err := m.flushJournal(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := New(cfg)
+	if err := m2.openState(); err != nil {
+		t.Fatal(err)
+	}
+	defer m2.store.Close()
+	for _, code := range []epc.EPC{early, late} {
+		if _, ok := m2.reg.Get(code); !ok {
+			t.Errorf("tag %s lost across the snapshot", code)
+		}
+	}
+}
+
+// TestFleetStateSnapshotRacesFlush runs observations, journal flushes and
+// snapshots concurrently, then reopens the store: the recovered registry
+// must equal the live one. Neither a change made while a snapshot is
+// written nor an image a flush drained before a snapshot may end up
+// missing or stale on replay.
+func TestFleetStateSnapshotRacesFlush(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StateDir = t.TempDir()
+	m := New(cfg)
+	if err := m.openState(); err != nil {
+		t.Fatal(err)
+	}
+	codes := make([]epc.EPC, 16)
+	for i := range codes {
+		codes[i] = mustEPC(t, fmt.Sprintf("30f4ab12cd0045e1000001%02x", i))
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	errc := make(chan error, 2)
+	wg.Add(2)
+	go func() { // observer
+		defer wg.Done()
+		base := time.Now()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			m.reg.Observe("r0", core.Reading{EPC: codes[i%len(codes)], Antenna: 1 + i%4}, base.Add(time.Duration(i)*time.Millisecond))
+		}
+	}()
+	go func() { // flusher
+		defer wg.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			if err := m.flushJournal(); err != nil {
+				errc <- err
+				return
+			}
+		}
+	}()
+	for i := 0; i < 20; i++ {
+		if err := m.writeSnapshot(); err != nil {
+			t.Error(err)
+			break
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errc)
+	for err := range errc {
+		t.Fatal(err)
+	}
+	if err := m.flushJournal(); err != nil {
+		t.Fatal(err)
+	}
+	want := regJSON(t, m.reg)
+	if err := m.store.Close(); err != nil {
+		t.Fatal(err)
+	}
+
+	m2 := New(cfg)
+	if err := m2.openState(); err != nil {
+		t.Fatal(err)
+	}
+	defer m2.store.Close()
+	if got := regJSON(t, m2.reg); got != want {
+		t.Fatalf("recovered registry differs from the live one:\n got %s\nwant %s", got, want)
 	}
 }

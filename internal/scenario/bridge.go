@@ -1,14 +1,12 @@
 package scenario
 
 import (
-	"fmt"
 	"math/rand"
 	"time"
 
 	"tagwatch/internal/epc"
 	"tagwatch/internal/rf"
 	"tagwatch/internal/scene"
-	"tagwatch/internal/trace"
 )
 
 // BuildScene compiles the spec's geometry into an internal/scene world
@@ -105,49 +103,4 @@ func (s Spec) routeTrajectory(rng *rand.Rand) scene.Trajectory {
 		}
 	}
 	return w
-}
-
-// TraceConfig maps the spec onto the internal/trace statistical generator
-// so cmd/tracegen and the replay daemon share one workload definition.
-// Multi-gate structure collapses to the trace model's single gate;
-// category parameters are blended by weight.
-func (s Spec) TraceConfig() (trace.Config, error) {
-	if err := s.Validate(); err != nil {
-		return trace.Config{}, err
-	}
-	s = s.withDefaults()
-	arrivals := s.Population + s.Residents
-	if arrivals <= 0 {
-		return trace.Config{}, fmt.Errorf("scenario %s: empty population", s.Name)
-	}
-	var wSum, park, alpha float64
-	var dwell time.Duration
-	for _, c := range s.Categories {
-		wSum += c.Weight
-		park += c.Weight * c.ParkProb
-		dwell += time.Duration(c.Weight * float64(c.MeanDwell))
-		a := c.GammaAlpha
-		if a <= 0 {
-			a = 3
-		}
-		alpha += c.Weight * a
-	}
-	cfg := trace.Config{
-		Duration:      s.Duration,
-		Arrivals:      arrivals,
-		CrossTime:     s.CrossTime,
-		ParkProb:      park / wSum,
-		MeanParkDwell: time.Duration(float64(dwell) / wSum),
-		Cost:          s.Cost,
-		GammaAlpha:    alpha / wSum,
-		BatchMean:     s.Arrival.BatchMean,
-		Step:          s.Step,
-	}
-	if cfg.MeanParkDwell <= 0 {
-		// A pure-flow scenario never parks; the trace model still wants a
-		// positive dwell for its (unreached) exponential draw.
-		cfg.MeanParkDwell = time.Minute
-		cfg.ParkProb = 0
-	}
-	return cfg, nil
 }

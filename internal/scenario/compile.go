@@ -46,6 +46,9 @@ type TagInfo struct {
 	Depart   time.Duration
 	Parked   bool // ended the trace (or its dwell) parked
 	Reads    int
+	// CrossingReads counts the reads taken while the tag crossed a gate's
+	// field; the rest of Reads were taken while it was parked.
+	CrossingReads int
 	// GateVisits counts distinct gate stays; a tag read at k > 1 gates
 	// produces k-1 registry handoffs on replay.
 	GateVisits int
@@ -191,6 +194,17 @@ func Compile(spec Spec, seed int64) (*Compiled, error) {
 	return c, nil
 }
 
+// The rate-adaptive policy (Spec.RateAdaptive), in the terms of the
+// paper's §2.4 counterfactual.
+const (
+	// phaseIShare is the fraction of the channel Phase I takes to assess
+	// the whole population; crossing tags share the rest, Λ(movers).
+	phaseIShare = 0.1
+	// parkedReadRate is a fully-coupled parked tag's Phase I reading rate
+	// (s⁻¹): about one read per 5 s, scaled by its coupling γ.
+	parkedReadRate = 1.0 / 5
+)
+
 // gateState tracks one gate's live visits and the current cycle bucket.
 type gateState struct {
 	live []visit
@@ -258,14 +272,30 @@ func (c *Compiled) simulate(rng *rand.Rand, visits []visit) {
 			}
 			// Everyone in range shares the channel: Λ(n) per tag, damped by
 			// the parked coupling γ for stationary tags at range margin.
+			// Rate-adaptive, the crossing tags share what Phase I leaves
+			// and parked tags get their Phase I reads only.
 			irr := spec.Cost.IRR(n)
+			moverIRR, parkedIRR := irr, irr
+			if spec.RateAdaptive {
+				movers := 0
+				for _, v := range g.live {
+					if v.moving {
+						movers++
+					}
+				}
+				moverIRR = (1 - phaseIShare) * spec.Cost.IRR(movers)
+				parkedIRR = parkedReadRate
+			}
 			ants := spec.Gates[gi].Antennas
 			for _, v := range g.live {
-				rate := irr
+				rate := moverIRR
 				if !v.moving {
-					rate *= v.gamma
+					rate = parkedIRR * v.gamma
 				}
 				k := poisson(rng, rate*stepSec)
+				if v.moving {
+					c.Tags[v.tag].CrossingReads += k
+				}
 				for r := 0; r < k; r++ {
 					g.readings = append(g.readings, Reading{
 						Tag:      v.tag,
@@ -360,6 +390,20 @@ func (c *Compiled) finishStats() {
 		c.Stats.PerCategory[t.Category].Tags++
 		c.Stats.PerCategory[t.Category].Readings += t.Reads
 	}
+}
+
+// ReadingsPerMinute bins every reading by its timestamp into one-minute
+// buckets covering the duration: the Fig. 3 series. A step longer than
+// the duration can time a reading past the end; it lands in the last
+// bucket.
+func (c *Compiled) ReadingsPerMinute() []int {
+	out := make([]int, (c.Spec.Duration+time.Minute-1)/time.Minute)
+	for _, ev := range c.Events {
+		for _, r := range ev.Readings {
+			out[min(int(r.At/time.Minute), len(out)-1)]++
+		}
+	}
+	return out
 }
 
 // Digest returns a hex SHA-256 over a canonical binary encoding of the

@@ -1,23 +1,24 @@
 // Package scenario is the workload factory: a declarative Spec describes a
 // tagged facility — population size and churn, mover fraction, category
-// structure, gate geometry, arrival process — and compiles into the three
+// structure, gate geometry, arrival process — and compiles into the two
 // artifacts the rest of the repo consumes:
 //
 //   - a Compiled timeline of per-gate reading cycles, the input to the
-//     replay daemon (cmd/replayd) and to capacity-planning runs,
-//   - an internal/scene world for simulator-driven experiments, and
-//   - an internal/trace configuration for the statistical CSV generator
-//     (cmd/tracegen -scenario).
+//     replay daemon (cmd/replayd), the gauntlet, the Fig. 3/4 experiment
+//     and the CSV generator (cmd/tracegen), and
+//   - an internal/scene world for simulator-driven experiments.
 //
 // The paper's evidence is exactly one such scenario — the TrackPoint
 // sorting facility of §2.4, where parked parcels starve crossing ones —
-// and the built-in pack catalog generalises it: warehouse cross-docks,
-// airport baggage routes, hospital asset tracking, and retail exit-gate
-// rushes, each with calibrated mover fractions and churn. Populations are
-// category-structured ("A Near-Optimal Category Information Sampling in
-// RFID Systems", arXiv:2406.10347): every category owns an EPC prefix, so
-// apps can query category counts without enumerating EPCs, and the packs
-// sweep population churn far past the paper's 527 tags ("An Improved AFSA
+// built in as the trackpoint pack; Spec.RateAdaptive replays any pack
+// under the paper's policy instead. The rest of the catalog generalises
+// it: warehouse cross-docks, airport baggage routes, hospital asset
+// tracking, and retail exit-gate rushes, each with calibrated mover
+// fractions and churn. Populations are category-structured ("A
+// Near-Optimal Category Information Sampling in RFID Systems",
+// arXiv:2406.10347): every category owns an EPC prefix, so apps can query
+// category counts without enumerating EPCs, and the packs sweep
+// population churn far past the paper's 527 tags ("An Improved AFSA
 // Algorithm", arXiv:1405.6217).
 //
 // Everything here is seeded and deterministic: no wall clock, no global
@@ -84,7 +85,7 @@ type Arrival struct {
 }
 
 // Spec declaratively describes a workload. Compile turns it into a
-// timeline; BuildScene and TraceConfig derive the other artifact forms.
+// timeline; BuildScene derives the simulator world.
 type Spec struct {
 	// Name identifies the scenario (pack names are kebab-case).
 	Name string
@@ -130,6 +131,15 @@ type Spec struct {
 	// Route is the ordered gate-index path flowing tags take. Required
 	// when Population > 0.
 	Route []int
+
+	// RateAdaptive replays the facility under Tagwatch's policy instead of
+	// reading all: at each gate the crossing tags share what Phase I
+	// leaves of the channel among themselves, and a parked tag is read
+	// about once per assessment cycle. This is the paper's counterfactual
+	// (§2.4): a crossing parcel should be read ≈50 times, and is, once the
+	// parked population stops hogging the channel. False, the default,
+	// compiles the read-all timeline.
+	RateAdaptive bool
 }
 
 // Validate rejects specs that would compile to degenerate or

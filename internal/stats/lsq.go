@@ -40,16 +40,6 @@ func LeastSquares2(x1, x2, y []float64) (a, b float64, err error) {
 	return a, b, nil
 }
 
-// LinearFit fits y = a + b*x by ordinary least squares and returns the
-// intercept a and slope b.
-func LinearFit(x, y []float64) (a, b float64, err error) {
-	ones := make([]float64, len(x))
-	for i := range ones {
-		ones[i] = 1
-	}
-	return LeastSquares2(ones, x, y)
-}
-
 // RMSE returns the root-mean-square error between predictions and
 // observations.
 func RMSE(pred, obs []float64) float64 {

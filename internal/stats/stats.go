@@ -1,11 +1,10 @@
 // Package stats provides the small statistical toolkit the evaluation
-// harness needs: percentiles and CDFs (Figs. 4, 17, 18), ROC curves
-// (Fig. 12), histograms (Fig. 8), and linear least squares for calibrating
-// the inventory-cost model's τ₀ and τ̄ (§2.3).
+// harness needs: percentiles and the empirical CDF (Figs. 4, 17, 18), ROC
+// curves (Fig. 12), histograms (Fig. 8), and linear least squares for
+// calibrating the inventory-cost model's τ₀ and τ̄ (§2.3).
 package stats
 
 import (
-	"fmt"
 	"math"
 	"sort"
 )
@@ -63,72 +62,6 @@ func Percentile(xs []float64, p float64) float64 {
 
 // Median is Percentile(xs, 0.5).
 func Median(xs []float64) float64 { return Percentile(xs, 0.5) }
-
-// Summary bundles the descriptive statistics the experiment harness prints
-// for each measured series.
-type Summary struct {
-	N             int
-	Mean, Std     float64
-	Min, Max      float64
-	P10, P50, P90 float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	if len(xs) == 0 {
-		return Summary{N: 0, Mean: math.NaN(), Std: math.NaN(), Min: math.NaN(), Max: math.NaN(), P10: math.NaN(), P50: math.NaN(), P90: math.NaN()}
-	}
-	s := Summary{
-		N:    len(xs),
-		Mean: Mean(xs),
-		Std:  StdDev(xs),
-		Min:  xs[0],
-		Max:  xs[0],
-		P10:  Percentile(xs, 0.10),
-		P50:  Percentile(xs, 0.50),
-		P90:  Percentile(xs, 0.90),
-	}
-	for _, x := range xs {
-		if x < s.Min {
-			s.Min = x
-		}
-		if x > s.Max {
-			s.Max = x
-		}
-	}
-	return s
-}
-
-// String renders the summary as one table row.
-func (s Summary) String() string {
-	return fmt.Sprintf("n=%d mean=%.3f std=%.3f min=%.3f p10=%.3f p50=%.3f p90=%.3f max=%.3f",
-		s.N, s.Mean, s.Std, s.Min, s.P10, s.P50, s.P90, s.Max)
-}
-
-// CDFPoint is one step of an empirical CDF.
-type CDFPoint struct {
-	X float64 // value
-	P float64 // P(value <= X)
-}
-
-// CDF computes the empirical CDF of xs as an ascending step function.
-func CDF(xs []float64) []CDFPoint {
-	if len(xs) == 0 {
-		return nil
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	out := make([]CDFPoint, 0, len(s))
-	n := float64(len(s))
-	for i := 0; i < len(s); i++ {
-		// Collapse duplicate X values into their final (highest) P.
-		if i+1 < len(s) && s[i+1] == s[i] {
-			continue
-		}
-		out = append(out, CDFPoint{X: s[i], P: float64(i+1) / n})
-	}
-	return out
-}
 
 // CDFAt evaluates an empirical CDF of xs at x: the fraction of samples <= x.
 func CDFAt(xs []float64, x float64) float64 {

@@ -48,40 +48,6 @@ func TestPercentileDoesNotMutate(t *testing.T) {
 	}
 }
 
-func TestSummarize(t *testing.T) {
-	xs := []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10}
-	s := Summarize(xs)
-	if s.N != 10 || !almost(s.Mean, 5.5, 1e-12) || !almost(s.Min, 1, 0) || !almost(s.Max, 10, 0) {
-		t.Fatalf("bad summary: %+v", s)
-	}
-	if !almost(s.P50, 5.5, 1e-12) {
-		t.Fatalf("P50 = %v", s.P50)
-	}
-	if s.String() == "" {
-		t.Fatal("String must render")
-	}
-	if e := Summarize(nil); e.N != 0 || !math.IsNaN(e.Mean) {
-		t.Fatal("empty summary must be NaN-filled")
-	}
-}
-
-func TestCDF(t *testing.T) {
-	xs := []float64{3, 1, 2, 2}
-	c := CDF(xs)
-	want := []CDFPoint{{1, 0.25}, {2, 0.75}, {3, 1}}
-	if len(c) != len(want) {
-		t.Fatalf("CDF len = %d, want %d (%v)", len(c), len(want), c)
-	}
-	for i := range want {
-		if !almost(c[i].X, want[i].X, 0) || !almost(c[i].P, want[i].P, 1e-12) {
-			t.Errorf("CDF[%d] = %+v, want %+v", i, c[i], want[i])
-		}
-	}
-	if CDF(nil) != nil {
-		t.Fatal("empty CDF must be nil")
-	}
-}
-
 func TestCDFAt(t *testing.T) {
 	xs := []float64{1, 2, 3, 4}
 	if got := CDFAt(xs, 2.5); !almost(got, 0.5, 1e-12) {
@@ -105,13 +71,15 @@ func TestCDFMonotone(t *testing.T) {
 		for i := range xs {
 			xs[i] = r.NormFloat64()
 		}
-		c := CDF(xs)
-		for i := 1; i < len(c); i++ {
-			if c[i].X <= c[i-1].X || c[i].P < c[i-1].P {
+		prev := CDFAt(xs, -5)
+		for x := -5.0; x <= 5; x += 0.25 {
+			p := CDFAt(xs, x)
+			if p < prev {
 				return false
 			}
+			prev = p
 		}
-		return c[len(c)-1].P == 1
+		return CDFAt(xs, Percentile(xs, 1)) == 1
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
@@ -247,18 +215,6 @@ func TestLeastSquares2Errors(t *testing.T) {
 	// Collinear columns -> singular.
 	if _, _, err := LeastSquares2([]float64{1, 2, 3}, []float64{2, 4, 6}, []float64{1, 2, 3}); err == nil {
 		t.Fatal("collinear columns must error")
-	}
-}
-
-func TestLinearFit(t *testing.T) {
-	x := []float64{0, 1, 2, 3}
-	y := []float64{1, 3, 5, 7}
-	a, b, err := LinearFit(x, y)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !almost(a, 1, 1e-9) || !almost(b, 2, 1e-9) {
-		t.Fatalf("LinearFit = (%v, %v), want (1,2)", a, b)
 	}
 }
 
