@@ -142,13 +142,10 @@ func TestHTTPEventsSSE(t *testing.T) {
 		t.Fatalf("content type %q", ct)
 	}
 
-	// The subscription is registered before the handler writes its opening
-	// comment; once we can read that, publishing is guaranteed to reach it.
 	br := bufio.NewReader(resp.Body)
 	if _, err := br.ReadString('\n'); err != nil {
 		t.Fatal(err)
 	}
-	m.Bus().Publish(Event{Type: EventReaderState, Reader: "r9", At: time.Now(), State: "up"})
 
 	deadline := time.After(5 * time.Second)
 	lines := make(chan string, 16)
@@ -163,7 +160,10 @@ func TestHTTPEventsSSE(t *testing.T) {
 		}
 	}()
 	// The stream must open with an explicit reset frame (the full-state
-	// anchor a cursorless client needs), then carry the live event.
+	// anchor a cursorless client needs), then carry the live event. The
+	// event is published once the reset has arrived: one published while
+	// the handler still takes its anchor can fall at or below the reset
+	// cursor, and the stream then rightly skips it as covered.
 	var events []string
 	var datas []string
 	var id, event string
@@ -182,6 +182,9 @@ func TestHTTPEventsSSE(t *testing.T) {
 			if strings.HasPrefix(line, "data: ") {
 				events = append(events, event)
 				datas = append(datas, strings.TrimPrefix(line, "data: "))
+				if len(events) == 1 {
+					m.Bus().Publish(Event{Type: EventReaderState, Reader: "r9", At: time.Now(), State: "up"})
+				}
 			}
 		case <-deadline:
 			t.Fatal("no SSE event within deadline")
