@@ -64,14 +64,21 @@ crash:
 soak:
 	TAGWATCH_SOAK=full GOMEMLIMIT=512MiB go test -race -count=1 -run TestSoakFloodSurvival -v ./internal/fleet/
 
-# Short fuzz bursts on the wire-facing decoders and the -chaos flag
-# parser, mirroring CI. Go allows one -fuzz target per invocation.
+# Short fuzz bursts on the wire-facing decoders, the disk decoders of
+# the checkpoint protocol and the -chaos flag parser, mirroring CI. Go
+# allows one -fuzz target per invocation.
 fuzz-smoke:
 	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -run '^$$' ./internal/llrp/
 	go test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/epc/
 	go test -fuzz=FuzzParseCursor -fuzztime=10s -run '^$$' ./internal/fleet/
 	go test -fuzz=FuzzParseSpec -fuzztime=10s -run '^$$' ./internal/chaos/
 	go test -fuzz=FuzzDecodeRecords -fuzztime=10s -run '^$$' ./internal/replication/
+	go test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -run '^$$' ./internal/statestore/
+	go test -fuzz=FuzzParseJournal -fuzztime=10s -run '^$$' ./internal/statestore/
+	go test -fuzz=FuzzRestoreImage -fuzztime=10s -run '^$$' ./internal/core/
+	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/core/
+	go test -fuzz=FuzzRestoreImage -fuzztime=10s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/fleet/
 
 # The perf-trajectory rig: the core data-plane benchmarks (wire codec,
 # schedule solver, motion model, EPC ops, WAL append, registry merge,

@@ -58,7 +58,6 @@ func run() int {
 	var (
 		readers     = flag.String("readers", "", "comma-separated LLRP readers, each ADDR or NAME=ADDR")
 		httpAddr    = flag.String("http", ":8080", "HTTP listen address")
-		dwell       = flag.Duration("dwell", 5*time.Second, "Phase II dwell per cycle")
 		cyclePause  = flag.Duration("cycle-pause", 0, "idle time between cycles on each reader")
 		dialTimeout = flag.Duration("dial-timeout", 5*time.Second, "per-attempt LLRP connect timeout")
 		backoffBase = flag.Duration("backoff-base", 500*time.Millisecond, "initial reconnect backoff")
@@ -68,7 +67,6 @@ func run() int {
 		kaMisses    = flag.Int("keepalive-misses", 3, "missed keepalive periods before a session is declared dead")
 		opTimeout   = flag.Duration("op-timeout", 10*time.Second, "per-operation LLRP request/response deadline")
 		cycleErrs   = flag.Int("cycle-error-limit", 3, "consecutive failing cycles before forcing a reconnect")
-		config      = flag.String("config", "", "JSON Tagwatch configuration file (see core.FileConfig)")
 		quiet       = flag.Bool("quiet", false, "suppress per-event logging")
 		stateDir    = flag.String("state-dir", "", "durable registry directory: crash-safe snapshots + journal, restored on start, saved on shutdown")
 		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "with -state-dir, time between full registry snapshots")
@@ -90,6 +88,7 @@ func run() int {
 		restartBudget = flag.Int("restart-budget", 5, "contained panics per window before a supervisor is tripped for good")
 		restartWindow = flag.Duration("restart-window", time.Minute, "sliding window for the panic-restart budget")
 	)
+	loadConfig := core.ConfigFlags(flag.CommandLine)
 	flag.Parse()
 
 	if *standby {
@@ -107,15 +106,12 @@ func run() int {
 	}
 
 	cfg := fleet.DefaultConfig()
-	if *config != "" {
-		loaded, err := core.LoadConfigFile(*config)
-		if err != nil {
-			log.Printf("config: %v", err)
-			return 2
-		}
-		cfg.Tagwatch = loaded
+	tw, err := loadConfig()
+	if err != nil {
+		log.Printf("config: %v", err)
+		return 2
 	}
-	cfg.Tagwatch.PhaseIIDwell = *dwell
+	cfg.Tagwatch = tw
 	cfg.DialTimeout = *dialTimeout
 	cfg.BackoffBase = *backoffBase
 	cfg.BackoffMax = *backoffMax

@@ -9,10 +9,10 @@
 //	tagwatchd -reader 127.0.0.1:5084 -pin 30f4ab12cd0045e100000001
 //
 // SIGINT/SIGTERM stop the cycle loop cleanly: durable state (-state-dir)
-// gets its final snapshot, the legacy -state file is still saved, and
-// the lifetime metrics still print. With -state-dir every cycle's
-// changes are journaled to stable storage before the next cycle starts,
-// so even a SIGKILL loses at most the in-flight cycle.
+// gets its final snapshot and the lifetime metrics still print. With
+// -state-dir every cycle's changes are journaled to stable storage
+// before the next cycle starts, so even a SIGKILL loses at most the
+// in-flight cycle.
 package main
 
 import (
@@ -36,18 +36,31 @@ func main() {
 	var (
 		readerAddr  = flag.String("reader", "127.0.0.1:5084", "LLRP reader address")
 		cycles      = flag.Int("cycles", 10, "reading cycles to run (0 = forever)")
-		dwell       = flag.Duration("dwell", 5*time.Second, "Phase II dwell")
 		dialTimeout = flag.Duration("dial-timeout", 10*time.Second, "LLRP connect timeout")
 		keepalive   = flag.Duration("keepalive", 5*time.Second, "reader keepalive period; a session silent for 3 periods dies with a watchdog error (0 = no watchdog)")
 		opTimeout   = flag.Duration("op-timeout", 10*time.Second, "per-operation LLRP request/response deadline")
 		pins        = flag.String("pin", "", "comma-separated EPCs to always schedule")
-		config      = flag.String("config", "", "JSON configuration file (see core.FileConfig)")
-		state       = flag.String("state", "", "legacy state file: learned immobility models are loaded at start and saved at exit (no crash safety; prefer -state-dir)")
-		stateDir    = flag.String("state-dir", "", "durable state directory: crash-safe snapshots + per-cycle journal; supersedes -state")
+		stateDir    = flag.String("state-dir", "", "durable state directory: crash-safe snapshots + per-cycle journal")
 		snapEvery   = flag.Duration("snapshot-interval", time.Minute, "with -state-dir, time between full snapshots (journal appends cover every cycle in between)")
 		maxTags     = flag.Int("max-tags", 0, "motion-model capacity bound; first contact past the cap evicts the stalest tracked tag (0 = unbounded)")
 	)
+	loadConfig := core.ConfigFlags(flag.CommandLine)
 	flag.Parse()
+
+	cfg, err := loadConfig()
+	if err != nil {
+		log.Fatalf("config: %v", err)
+	}
+	cfg.Motion.MaxTags = *maxTags
+	if *pins != "" {
+		for _, s := range strings.Split(*pins, ",") {
+			code, err := epc.Parse(strings.TrimSpace(s))
+			if err != nil {
+				log.Fatalf("bad -pin EPC %q: %v", s, err)
+			}
+			cfg.Pinned = append(cfg.Pinned, code)
+		}
+	}
 
 	// The signal-aware context makes interruption graceful: the cycle loop
 	// stops at the next cycle boundary and every deferred save still runs.
@@ -77,33 +90,11 @@ func main() {
 	unblock := context.AfterFunc(ctx, func() { conn.Close() })
 	defer unblock()
 
-	cfg := core.DefaultConfig()
-	if *config != "" {
-		loaded, err := core.LoadConfigFile(*config)
-		if err != nil {
-			log.Fatalf("config: %v", err)
-		}
-		cfg = loaded
-	}
-	cfg.PhaseIIDwell = *dwell
-	cfg.Motion.MaxTags = *maxTags
-	if *pins != "" {
-		for _, s := range strings.Split(*pins, ",") {
-			code, err := epc.Parse(strings.TrimSpace(s))
-			if err != nil {
-				log.Fatalf("bad -pin EPC %q: %v", s, err)
-			}
-			cfg.Pinned = append(cfg.Pinned, code)
-		}
-	}
 	dev := core.NewLLRPDevice(conn)
 	tw := core.New(cfg, dev)
-	var ckpt *core.Checkpointer
+	var st *statestore.Store
 	if *stateDir != "" {
-		if *state != "" {
-			log.Printf("-state ignored: -state-dir %s supersedes it", *stateDir)
-		}
-		st, err := statestore.Open(*stateDir, statestore.Options{})
+		st, err = statestore.Open(*stateDir, statestore.Options{})
 		if err != nil {
 			log.Fatalf("state dir: %v", err)
 		}
@@ -112,8 +103,7 @@ func main() {
 				log.Printf("state close: %v", err)
 			}
 		}()
-		ckpt = core.NewCheckpointer(tw, st)
-		if err := ckpt.Restore(); err != nil {
+		if err := st.Restore(tw); err != nil {
 			log.Fatalf("state restore: %v", err)
 		}
 		if rec := st.Recovery(); rec.HasSnapshot || len(rec.Records) > 0 {
@@ -124,28 +114,8 @@ func main() {
 		// path — the signal context ends the loop, this writes the final
 		// snapshot generation.
 		defer func() {
-			if err := ckpt.Snapshot(); err != nil {
+			if err := st.Snapshot(tw); err != nil {
 				log.Printf("final snapshot: %v", err)
-			}
-		}()
-	} else if *state != "" {
-		if f, err := os.Open(*state); err == nil {
-			if err := tw.LoadState(f); err != nil {
-				log.Printf("state load: %v (starting cold)", err)
-			} else {
-				fmt.Println("tagwatchd: resumed learned models from", *state)
-			}
-			f.Close()
-		}
-		defer func() {
-			f, err := os.Create(*state)
-			if err != nil {
-				log.Printf("state save: %v", err)
-				return
-			}
-			defer f.Close()
-			if err := tw.SaveState(f); err != nil {
-				log.Printf("state save: %v", err)
 			}
 		}()
 	}
@@ -167,13 +137,13 @@ func main() {
 			return
 		}
 		rep := tw.RunCycle()
-		if ckpt != nil {
+		if st != nil {
 			var perr error
 			if *snapEvery > 0 && time.Since(lastSnap) >= *snapEvery {
-				perr = ckpt.Snapshot()
+				perr = st.Snapshot(tw)
 				lastSnap = time.Now()
 			} else {
-				perr = ckpt.AfterCycle()
+				perr = st.Journal(tw)
 			}
 			if perr != nil {
 				log.Printf("cycle %d state persist: %v", i, perr)

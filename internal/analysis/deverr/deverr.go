@@ -7,14 +7,15 @@
 // was built to kill.
 //
 // The same invariant covers durability: statestore.Store's writers and
-// core.Checkpointer return "your state did NOT reach stable storage" as
-// an error, and dropping it silently converts a durable system into one
-// that merely looks durable until the first crash.
+// its checkpoint methods (Restore, Journal, Snapshot) return "your state
+// did NOT reach stable storage" as an error, and dropping it silently
+// converts a durable system into one that merely looks durable until the
+// first crash.
 //
 // The analyzer flags statements that invoke an error-returning method
 // on one of the watched types (core.Device and its implementations,
 // llrp.Conn/Server/Proxy, the fleet manager/bus/registry, the durable
-// statestore.Store and core.Checkpointer) and discard
+// statestore.Store) and discard
 // every result — a bare expression statement or a `go` statement.
 // Assigning the error to blank (`_ = dev.ReadAll(emit)`-style) is treated
 // as a reviewed, deliberate drop and stays legal, as do `Close`
@@ -35,9 +36,6 @@ import (
 var watched = map[string]map[string]bool{
 	"tagwatch/internal/core": {
 		"Device": true, "SimDevice": true, "LLRPDevice": true,
-		// Checkpointer errors mean "this cycle's changes are NOT durable";
-		// a caller that drops one silently breaks the durability ack.
-		"Checkpointer": true,
 	},
 	"tagwatch/internal/llrp": {
 		"Conn": true, "Server": true, "Proxy": true,
@@ -48,7 +46,8 @@ var watched = map[string]map[string]bool{
 		// spare is following the primary" and "nobody is".
 		"Standby": true,
 	},
-	// The durable store's writers: a dropped Append/WriteSnapshot error is
+	// The durable store's writers: a dropped Append/WriteSnapshot error,
+	// or a dropped Journal/Snapshot error from the checkpoint protocol, is
 	// state the operator believes persisted but was never acked to disk.
 	// JournalReader's Poll/Next errors carry ErrCursorGone — the signal
 	// that a tailer must resync from a snapshot; dropping one ships a

@@ -67,19 +67,24 @@ func excused(dev core.Device) {
 
 // Durability writers: a dropped error means state the caller believes
 // persisted but was never acked to disk.
-func durabilityDrops(st *statestore.Store, ck *core.Checkpointer) {
+func durabilityDrops(st *statestore.Store, e statestore.Engine) {
 	st.Append(nil)        // want `error from \(tagwatch/internal/statestore.Store\).Append is silently dropped`
 	st.AppendBatch(nil)   // want `error from \(tagwatch/internal/statestore.Store\).AppendBatch is silently dropped`
 	st.WriteSnapshot(nil) // want `error from \(tagwatch/internal/statestore.Store\).WriteSnapshot is silently dropped`
-	ck.AfterCycle()       // want `error from \(tagwatch/internal/core.Checkpointer\).AfterCycle is silently dropped`
+	st.Restore(e)         // want `error from \(tagwatch/internal/statestore.Store\).Restore is silently dropped`
+	st.Journal(e)         // want `error from \(tagwatch/internal/statestore.Store\).Journal is silently dropped`
+	st.Snapshot(e)        // want `error from \(tagwatch/internal/statestore.Store\).Snapshot is silently dropped`
 	st.Close()            // Close stays exempt: teardown is best-effort.
 }
 
-func durabilityHandled(st *statestore.Store, ck *core.Checkpointer) error {
+func durabilityHandled(st *statestore.Store, e statestore.Engine) error {
 	if err := st.WriteSnapshot(nil); err != nil {
 		return err
 	}
-	return ck.Snapshot()
+	if err := st.Journal(e); err != nil {
+		return err
+	}
+	return st.Snapshot(e)
 }
 
 // The overload armor: Sentinel.Do's error is the contained panic, and

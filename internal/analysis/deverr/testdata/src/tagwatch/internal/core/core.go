@@ -17,9 +17,3 @@ type SimDevice struct{}
 func (d *SimDevice) ReadAll(emit func([]Reading)) error                            { return nil }
 func (d *SimDevice) ReadSelective(dwell time.Duration, emit func([]Reading)) error { return nil }
 func (d *SimDevice) Now() time.Duration                                            { return 0 }
-
-type Checkpointer struct{}
-
-func (c *Checkpointer) Restore() error    { return nil }
-func (c *Checkpointer) AfterCycle() error { return nil }
-func (c *Checkpointer) Snapshot() error   { return nil }

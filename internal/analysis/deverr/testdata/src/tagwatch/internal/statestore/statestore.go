@@ -2,12 +2,19 @@
 // the analyzer purely on import path + type name + signature.
 package statestore
 
+type Engine interface {
+	Image() ([]byte, error)
+}
+
 type Store struct{}
 
 func (s *Store) Append(data []byte) error         { return nil }
 func (s *Store) AppendBatch(recs [][]byte) error  { return nil }
 func (s *Store) WriteSnapshot(state []byte) error { return nil }
 func (s *Store) Close() error                     { return nil }
+func (s *Store) Restore(e Engine) error           { return nil }
+func (s *Store) Journal(e Engine) error           { return nil }
+func (s *Store) Snapshot(e Engine) error          { return nil }
 
 type Cursor struct{}
 

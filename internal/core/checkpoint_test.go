@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
@@ -12,10 +13,10 @@ import (
 )
 
 // TestCheckpointerRoundTripWithRestart is the kill-and-restart
-// acceptance test on the happy path: run cycles under a Checkpointer
-// (snapshot mid-run, journal tail after it, a forget-and-relearn in the
-// middle), close, and restore into a fresh middleware. The restored
-// learned state must be byte-identical.
+// acceptance test on the happy path: run cycles under the store's
+// checkpoint protocol (snapshot mid-run, journal tail after it, a
+// forget-and-relearn in the middle), close, and restore into a fresh
+// middleware. The restored learned state must be byte-identical.
 func TestCheckpointerRoundTripWithRestart(t *testing.T) {
 	dir := t.TempDir()
 	st, err := statestore.Open(dir, statestore.Options{})
@@ -23,9 +24,7 @@ func TestCheckpointerRoundTripWithRestart(t *testing.T) {
 		t.Fatal(err)
 	}
 	tw, _, movers, static := paperRig(t, 91, 6, 1, 0)
-	cp := NewCheckpointer(tw, st)
-	cp.SnapshotEvery = 4
-	if err := cp.Restore(); err != nil {
+	if err := st.Restore(tw); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -42,7 +41,11 @@ func TestCheckpointerRoundTripWithRestart(t *testing.T) {
 			tw.Pin(static[0])
 			tw.Unpin(movers[0])
 		}
-		if err := cp.AfterCycle(); err != nil {
+		checkpoint := st.Journal
+		if i == 3 {
+			checkpoint = st.Snapshot
+		}
+		if err := checkpoint(tw); err != nil {
 			t.Fatalf("cycle %d: %v", i, err)
 		}
 	}
@@ -62,14 +65,13 @@ func TestCheckpointerRoundTripWithRestart(t *testing.T) {
 	defer st2.Close()
 	rec := st2.Recovery()
 	if !rec.HasSnapshot {
-		t.Fatal("no snapshot recovered — SnapshotEvery never fired")
+		t.Fatal("no snapshot recovered")
 	}
 	if len(rec.Records) == 0 {
 		t.Fatal("no journal tail recovered — replay path not exercised")
 	}
 	tw2, _, _, _ := paperRig(t, 91, 6, 1, 0)
-	cp2 := NewCheckpointer(tw2, st2)
-	if err := cp2.Restore(); err != nil {
+	if err := st2.Restore(tw2); err != nil {
 		t.Fatal(err)
 	}
 	var got bytes.Buffer
@@ -88,7 +90,7 @@ func TestCheckpointerRoundTripWithRestart(t *testing.T) {
 		t.Fatalf("restored metrics cycles = %d, want 4", c)
 	}
 	// Restored state must not be re-journaled as if freshly dirtied.
-	recs, err := tw2.JournalRecords()
+	recs, err := tw2.Changes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -97,7 +99,7 @@ func TestCheckpointerRoundTripWithRestart(t *testing.T) {
 	}
 	// And the resumed middleware keeps running and checkpointing.
 	tw2.RunCycle()
-	if err := cp2.AfterCycle(); err != nil {
+	if err := st2.Journal(tw2); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -127,6 +129,19 @@ func linkNorm(ls motion.LinkState) (string, string) {
 	return k, string(b)
 }
 
+// recordingEngine is a middleware whose drained changes are kept, so a
+// workload knows which images each checkpoint carried.
+type recordingEngine struct {
+	*Tagwatch
+	drained [][]byte
+}
+
+func (e *recordingEngine) Changes() ([][]byte, error) {
+	recs, err := e.Tagwatch.Changes()
+	e.drained = append(e.drained, recs...)
+	return recs, err
+}
+
 // runEngineWorkload drives a deterministic middleware + store script
 // until it finishes or the filesystem crashes, tracking the durability
 // floor. The rig, the cycle sequence, and therefore every emitted record
@@ -146,6 +161,7 @@ func runEngineWorkload(t *testing.T, fsys statestore.FS, dir string) engineTrace
 
 	tw, _, movers, static := paperRig(t, 91, 6, 1, 0)
 	tw.cfg.DepartAfter = 0 // keep link histories monotone for the sweep
+	eng := &recordingEngine{Tagwatch: tw}
 	for i := 0; i < 10; i++ {
 		tw.RunCycle()
 		tr.cycles++
@@ -158,13 +174,18 @@ func runEngineWorkload(t *testing.T, fsys statestore.FS, dir string) engineTrace
 			tw.Unpin(movers[0])
 		}
 
-		recs, err := tw.JournalRecords()
-		if err != nil {
-			t.Fatal(err) // marshalling our own state cannot fail
+		// Snapshot cycle: the drained records are covered by the
+		// snapshot, and success acks the entire current state.
+		snap := i%4 == 3
+		eng.drained = nil
+		checkpoint := st.Journal
+		if snap {
+			checkpoint = st.Snapshot
 		}
+		err := checkpoint(eng)
 		batchLinks := map[string]int{}
 		batchPin := -1
-		for _, raw := range recs {
+		for _, raw := range eng.drained {
 			var rec Record
 			if err := json.Unmarshal(raw, &rec); err != nil {
 				t.Fatal(err)
@@ -179,18 +200,10 @@ func runEngineWorkload(t *testing.T, fsys statestore.FS, dir string) engineTrace
 				batchPin = len(tr.pinsSeq) - 1
 			}
 		}
-
-		if i%4 == 3 {
-			// Snapshot cycle: the drained records are covered by the
-			// snapshot (same policy as Checkpointer). Success acks the
-			// entire current state.
-			var buf bytes.Buffer
-			if err := tw.SaveState(&buf); err != nil {
-				t.Fatal(err)
-			}
-			if err := st.WriteSnapshot(buf.Bytes()); err != nil {
-				return tr
-			}
+		if err != nil {
+			return tr
+		}
+		if snap {
 			for k, versions := range tr.emitted {
 				tr.ackedIdx[k] = len(versions) - 1
 			}
@@ -198,16 +211,13 @@ func runEngineWorkload(t *testing.T, fsys statestore.FS, dir string) engineTrace
 				tr.ackedPin = len(tr.pinsSeq) - 1
 			}
 			tr.ackedSnapCycles = tw.Metrics().Cycles
-		} else if len(recs) > 0 {
-			if err := st.AppendBatch(recs); err != nil {
-				return tr
-			}
-			for k, idx := range batchLinks {
-				tr.ackedIdx[k] = idx
-			}
-			if batchPin >= 0 {
-				tr.ackedPin = batchPin
-			}
+			continue
+		}
+		for k, idx := range batchLinks {
+			tr.ackedIdx[k] = idx
+		}
+		if batchPin >= 0 {
+			tr.ackedPin = batchPin
 		}
 	}
 	return tr
@@ -226,8 +236,7 @@ func verifyEngineRecovered(t *testing.T, dir string, tr engineTrace, label strin
 	}
 	defer st.Close()
 	tw, _, _, _ := paperRig(t, 91, 6, 1, 0)
-	cp := NewCheckpointer(tw, st)
-	if err := cp.Restore(); err != nil {
+	if err := st.Restore(tw); err != nil {
 		t.Fatalf("%s: restore surfaced corrupt state: %v", label, err)
 	}
 
@@ -322,5 +331,55 @@ func TestCrashEngineRestartSweep(t *testing.T) {
 			t.Fatalf("op %d: workload finished without crashing", op)
 		}
 		verifyEngineRecovered(t, dir, tr, fmt.Sprintf("op %d", op))
+	}
+}
+
+// TestCheckpointGolden pins the bytes the checkpoint protocol writes for
+// the middleware: the snapshot image and the journal records of a fixed
+// rig after a pin and a forget. A diff here is an on-disk format change,
+// and state directories written before it would no longer restore. The
+// wall-clock schedule cost is zeroed so the image repeats.
+func TestCheckpointGolden(t *testing.T) {
+	tw, _, movers, static := paperRig(t, 91, 6, 1, 0)
+	for i := 0; i < 3; i++ {
+		tw.RunCycle()
+	}
+	tw.Pin(movers[0])
+	tw.Detector().Forget(static[1])
+	tw.metricsMu.Lock()
+	tw.metrics.ScheduleCostTotal = 0
+	tw.metricsMu.Unlock()
+
+	dir := t.TempDir()
+	open := func() *statestore.Store {
+		st, err := statestore.Open(dir, statestore.Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		return st
+	}
+	st := open()
+	if err := st.Journal(tw); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st = open()
+	journal := append(bytes.Join(st.Recovery().Records, []byte("\n")), '\n')
+	if err := st.Snapshot(tw); err != nil {
+		t.Fatal(err)
+	}
+	st.Close()
+	st = open()
+	defer st.Close()
+	snapshot := st.Recovery().Snapshot
+
+	for name, got := range map[string][]byte{"snapshot": snapshot, "journal": journal} {
+		want, err := os.ReadFile("testdata/" + name + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s bytes differ from testdata/%s.golden:\n got %s\nwant %s", name, name, got, want)
+		}
 	}
 }

@@ -3,7 +3,10 @@ package core
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
@@ -42,13 +45,41 @@ func LoadConfigFile(path string) (Config, error) {
 	return applyFileConfig(cfg, raw)
 }
 
-// applyFileConfig parses raw JSON over base.
+// ConfigFlags registers -config and -dwell on fs. The function it
+// returns, called after fs.Parse, loads the -config file over the
+// defaults and then applies -dwell only when it was given, so the flag's
+// default never overrides a file's phase2_dwell_ms.
+func ConfigFlags(fs *flag.FlagSet) func() (Config, error) {
+	path := fs.String("config", "", "JSON configuration file (see core.FileConfig)")
+	dwell := fs.Duration("dwell", DefaultConfig().PhaseIIDwell, "Phase II dwell per cycle; overrides the config file's phase2_dwell_ms")
+	return func() (Config, error) {
+		cfg := DefaultConfig()
+		if *path != "" {
+			var err error
+			if cfg, err = LoadConfigFile(*path); err != nil {
+				return cfg, err
+			}
+		}
+		fs.Visit(func(f *flag.Flag) {
+			if f.Name == "dwell" {
+				cfg.PhaseIIDwell = *dwell
+			}
+		})
+		return cfg, nil
+	}
+}
+
+// applyFileConfig parses raw JSON over base. A negative value or data
+// after the JSON object is an error, not a silent default.
 func applyFileConfig(base Config, raw []byte) (Config, error) {
 	var fc FileConfig
 	dec := json.NewDecoder(bytes.NewReader(raw))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&fc); err != nil {
 		return base, fmt.Errorf("core: parse config: %w", err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return base, errors.New("core: parse config: data after the JSON object")
 	}
 	for _, s := range fc.PinnedEPCs {
 		code, err := epc.Parse(s)
@@ -57,20 +88,27 @@ func applyFileConfig(base Config, raw []byte) (Config, error) {
 		}
 		base.Pinned = append(base.Pinned, code)
 	}
-	if fc.PhaseIIDwellMS > 0 {
-		base.PhaseIIDwell = time.Duration(fc.PhaseIIDwellMS) * time.Millisecond
+	for _, f := range []struct {
+		name string
+		ms   int
+		dst  *time.Duration
+	}{
+		{"phase2_dwell_ms", fc.PhaseIIDwellMS, &base.PhaseIIDwell},
+		{"sticky_ms", fc.StickyMS, &base.StickyFor},
+		{"depart_after_ms", fc.DepartAfterMS, &base.DepartAfter},
+	} {
+		if f.ms < 0 {
+			return base, fmt.Errorf("core: %s %d is negative", f.name, f.ms)
+		}
+		if f.ms > 0 {
+			*f.dst = time.Duration(f.ms) * time.Millisecond
+		}
+	}
+	if fc.MobileCutoff < 0 || fc.MobileCutoff > 1 {
+		return base, fmt.Errorf("core: mobile_cutoff %v out of (0, 1]", fc.MobileCutoff)
 	}
 	if fc.MobileCutoff > 0 {
-		if fc.MobileCutoff > 1 {
-			return base, fmt.Errorf("core: mobile_cutoff %v out of (0, 1]", fc.MobileCutoff)
-		}
 		base.MobileCutoff = fc.MobileCutoff
-	}
-	if fc.StickyMS > 0 {
-		base.StickyFor = time.Duration(fc.StickyMS) * time.Millisecond
-	}
-	if fc.DepartAfterMS > 0 {
-		base.DepartAfter = time.Duration(fc.DepartAfterMS) * time.Millisecond
 	}
 	if fc.NaiveSchedule {
 		base.NaiveSchedule = true

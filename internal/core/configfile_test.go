@@ -1,6 +1,7 @@
 package core
 
 import (
+	"flag"
 	"os"
 	"path/filepath"
 	"testing"
@@ -74,16 +75,63 @@ func TestLoadConfigFileErrors(t *testing.T) {
 		t.Fatal("missing file must error")
 	}
 	cases := map[string]string{
-		"bad json":      `{not json`,
-		"bad epc":       `{"pinned_epcs": ["zz"]}`,
-		"bad cutoff":    `{"mobile_cutoff": 1.5}`,
-		"unknown field": `{"phase_two_dwell": 5}`,
+		"bad json":         `{not json`,
+		"bad epc":          `{"pinned_epcs": ["zz"]}`,
+		"bad cutoff":       `{"mobile_cutoff": 1.5}`,
+		"unknown field":    `{"phase_two_dwell": 5}`,
+		"negative dwell":   `{"phase2_dwell_ms": -5, "sticky_ms": 7000}`,
+		"negative sticky":  `{"sticky_ms": -1}`,
+		"negative depart":  `{"depart_after_ms": -60000}`,
+		"negative cutoff":  `{"mobile_cutoff": -0.1}`,
+		"trailing garbage": `{"phase2_dwell_ms": 2000} garbage`,
+		"second object":    `{"phase2_dwell_ms": 2000} {}`,
+		"stray brace":      `{"phase2_dwell_ms": 2000}}`,
 	}
 	for name, content := range cases {
 		path := writeConfig(t, content)
 		if _, err := LoadConfigFile(path); err == nil {
 			t.Errorf("%s must error", name)
 		}
+	}
+}
+
+// TestConfigFlagsDwell: a config file's phase2_dwell_ms holds unless
+// -dwell is given on the command line, and -dwell leaves the file's other
+// values alone.
+func TestConfigFlagsDwell(t *testing.T) {
+	path := writeConfig(t, `{"phase2_dwell_ms": 2000, "sticky_ms": 7000}`)
+	def := DefaultConfig()
+	cases := []struct {
+		args          []string
+		dwell, sticky time.Duration
+	}{
+		{[]string{"-config", path}, 2 * time.Second, 7 * time.Second},
+		{[]string{"-config", path, "-dwell", "700ms"}, 700 * time.Millisecond, 7 * time.Second},
+		{[]string{"-dwell", "5s", "-config", path}, 5 * time.Second, 7 * time.Second},
+		{[]string{"-dwell", "700ms"}, 700 * time.Millisecond, def.StickyFor},
+		{nil, def.PhaseIIDwell, def.StickyFor},
+	}
+	for _, tc := range cases {
+		fs := flag.NewFlagSet("tagwatchd", flag.ContinueOnError)
+		load := ConfigFlags(fs)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := load()
+		if err != nil {
+			t.Fatalf("%q: %v", tc.args, err)
+		}
+		if cfg.PhaseIIDwell != tc.dwell || cfg.StickyFor != tc.sticky {
+			t.Errorf("%q: dwell %v sticky %v, want %v and %v", tc.args, cfg.PhaseIIDwell, cfg.StickyFor, tc.dwell, tc.sticky)
+		}
+	}
+	fs := flag.NewFlagSet("tagwatchd", flag.ContinueOnError)
+	load := ConfigFlags(fs)
+	if err := fs.Parse([]string{"-config", writeConfig(t, `{"phase2_dwell_ms": -5}`), "-dwell", "1s"}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := load(); err == nil {
+		t.Fatal("a bad config file must fail the load even with -dwell given")
 	}
 }
 

@@ -7,7 +7,6 @@ package core
 // and must not erase learned state.
 
 import (
-	"context"
 	"errors"
 	"strings"
 	"testing"
@@ -148,59 +147,5 @@ func TestPhaseIIErrorSurfaces(t *testing.T) {
 	}
 	if len(rep.PhaseIReads) != 1 || len(rep.PhaseIIReads) != 1 {
 		t.Fatalf("partial readings dropped: phase1=%d phase2=%d", len(rep.PhaseIReads), len(rep.PhaseIIReads))
-	}
-}
-
-// TestUnhealthyPauseGrowth pins the degraded-mode backoff shape: doubling
-// from max(pause, base), saturating at the cap, never below the base.
-func TestUnhealthyPauseGrowth(t *testing.T) {
-	cases := []struct {
-		pause time.Duration
-		n     int
-		want  time.Duration
-	}{
-		{0, 1, 100 * time.Millisecond},
-		{0, 2, 200 * time.Millisecond},
-		{0, 4, 800 * time.Millisecond},
-		{0, 100, 10 * time.Second},
-		{time.Second, 1, time.Second},
-		{time.Second, 3, 4 * time.Second},
-		{time.Second, 6, 10 * time.Second},
-		{30 * time.Second, 1, 10 * time.Second},
-	}
-	for _, tc := range cases {
-		if got := unhealthyPause(tc.pause, tc.n); got != tc.want {
-			t.Errorf("unhealthyPause(%v, %d) = %v, want %v", tc.pause, tc.n, got, tc.want)
-		}
-	}
-}
-
-// TestRunDegradesOnFailingDevice: the continuous loop keeps delivering
-// error-carrying reports from a dead device instead of going quiet or
-// reporting empty-but-healthy cycles.
-func TestRunDegradesOnFailingDevice(t *testing.T) {
-	boom := errors.New("reader unplugged")
-	dev := &fakeDevice{readAll: func(int) ([]Reading, error) { return nil, boom }}
-	tw := New(DefaultConfig(), dev)
-
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := tw.Run(ctx, 0)
-
-	for i := 0; i < 3; i++ {
-		select {
-		case rep, ok := <-out:
-			if !ok {
-				t.Fatal("report channel closed early")
-			}
-			if rep.Err == nil {
-				t.Fatalf("cycle %d from a dead device reported healthy", i)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatalf("no report %d from the degraded loop (pause runaway?)", i)
-		}
-	}
-	cancel()
-	for range out {
 	}
 }

@@ -20,40 +20,35 @@ import (
 type LLRPDevice struct {
 	// Conn is an established LLRP connection.
 	Conn *llrp.Conn
-	// PhaseIDwell bounds the read-everything pass (the paper sizes Phase I
-	// "dynamically on the total number of tags"; over the wire we bound it
-	// with a duration trigger).
-	PhaseIDwell time.Duration
-	// MaskSlice is the per-AISpec duration for each bitmask in Phase II.
-	MaskSlice time.Duration
-	// IdleGap is the wall-clock silence after which the report stream of a
-	// finished ROSpec is considered drained.
-	IdleGap time.Duration
-	// Session/InitialQ are forwarded in the C1G2 singulation control.
-	Session  uint8
-	InitialQ uint8
-	// AdaptPhaseI resizes the Phase I dwell from the last observed
-	// population: the paper sizes Phase I "dynamically depending on the
-	// total number of tags". The dwell tracks 1.5 × C(n) under the paper
-	// cost model, clamped to [100 ms, 2 s].
-	AdaptPhaseI bool
 
-	nextID uint32
-	base   uint64 // UTC µs of the first report; maps wire time to Duration
-	latest time.Duration
+	// phaseIDwell bounds the read-everything pass. The paper sizes Phase I
+	// "dynamically depending on the total number of tags": over the wire
+	// a duration trigger bounds it, resized after each pass (ReadAll).
+	phaseIDwell time.Duration
+	nextID      uint32
+	base        uint64 // UTC µs of the first report; maps wire time to Duration
+	latest      time.Duration
 }
+
+// The ROSpec parameters every LLRPDevice uses.
+const (
+	// firstPhaseIDwell bounds the first Phase I pass, before any
+	// population is known.
+	firstPhaseIDwell = 300 * time.Millisecond
+	// maskSlice is the per-AISpec duration for each bitmask in Phase II.
+	maskSlice = 100 * time.Millisecond
+	// idleGap is the wall-clock silence after which the report stream of
+	// a finished ROSpec is considered drained, for readers that send no
+	// end events.
+	idleGap = 150 * time.Millisecond
+	// session and initialQ are forwarded in the C1G2 singulation control.
+	session  = 1
+	initialQ = 4
+)
 
 // NewLLRPDevice wraps a connection with the paper's defaults.
 func NewLLRPDevice(conn *llrp.Conn) *LLRPDevice {
-	return &LLRPDevice{
-		Conn:        conn,
-		PhaseIDwell: 300 * time.Millisecond,
-		MaskSlice:   100 * time.Millisecond,
-		IdleGap:     150 * time.Millisecond,
-		Session:     1,
-		InitialQ:    4,
-		AdaptPhaseI: true,
-	}
+	return &LLRPDevice{Conn: conn, phaseIDwell: firstPhaseIDwell}
 }
 
 // Now implements Device: the latest device timestamp observed.
@@ -61,10 +56,9 @@ func (d *LLRPDevice) Now() time.Duration { return d.latest }
 
 // ReadAll implements Device.
 func (d *LLRPDevice) ReadAll(emit func([]Reading)) error {
-	spec := d.buildSpec(nil, d.PhaseIDwell, d.PhaseIDwell)
-	if !d.AdaptPhaseI {
-		return d.runSpec(spec, emit)
-	}
+	spec := d.buildSpec(nil, d.phaseIDwell, d.phaseIDwell)
+	// The next pass's dwell tracks 1.5 × C(n) for the n distinct tags
+	// seen, under the paper cost model, clamped to [100 ms, 2 s].
 	distinct := make(map[epc.EPC]struct{})
 	err := d.runSpec(spec, func(batch []Reading) {
 		for _, r := range batch {
@@ -80,7 +74,7 @@ func (d *LLRPDevice) ReadAll(emit func([]Reading)) error {
 		if dwell > 2*time.Second {
 			dwell = 2 * time.Second
 		}
-		d.PhaseIDwell = dwell
+		d.phaseIDwell = dwell
 	}
 	return err
 }
@@ -90,7 +84,7 @@ func (d *LLRPDevice) ReadSelective(masks []schedule.Bitmask, dwell time.Duration
 	if len(masks) == 0 || dwell <= 0 {
 		return nil
 	}
-	return d.runSpec(d.buildSpec(masks, d.MaskSlice, dwell), emit)
+	return d.runSpec(d.buildSpec(masks, maskSlice, dwell), emit)
 }
 
 // buildSpec compiles bitmasks into an ROSpec: one AISpec per bitmask
@@ -113,8 +107,8 @@ func (d *LLRPDevice) buildSpec(masks []schedule.Bitmask, slice, total time.Durat
 			Inventories: []llrp.InventoryParameterSpec{{
 				ID: 1,
 				Commands: []llrp.C1G2InventoryCommand{{
-					Session:  d.Session,
-					InitialQ: d.InitialQ,
+					Session:  session,
+					InitialQ: initialQ,
 					Filters:  filters,
 				}},
 			}},
@@ -153,10 +147,6 @@ func (d *LLRPDevice) runSpec(spec llrp.ROSpec, emit func([]Reading)) error {
 	}
 	if err := d.Conn.StartROSpec(ctx, spec.ID); err != nil {
 		return fmt.Errorf("start ROSpec %d: %w", spec.ID, err)
-	}
-	idle := d.IdleGap
-	if idle <= 0 {
-		idle = 150 * time.Millisecond
 	}
 	// connErr shapes the connection's terminal error once the report
 	// stream closes under us.
@@ -208,7 +198,7 @@ func (d *LLRPDevice) runSpec(spec llrp.ROSpec, emit func([]Reading)) error {
 				drain(20 * time.Millisecond)
 				return nil
 			}
-		case <-time.After(idle):
+		case <-time.After(idleGap):
 			// Fallback for readers that do not send end events. A stop
 			// failure here means the link is gone, not merely quiet.
 			if err := d.Conn.StopROSpec(ctx, spec.ID); err != nil {

@@ -4,33 +4,29 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
-	"io"
 	"sort"
 
 	"tagwatch/internal/epc"
 	"tagwatch/internal/motion"
 )
 
-// State persistence for the middleware. Two formats coexist:
+// State persistence for the middleware: Tagwatch is the statestore
+// Engine that tagwatchd checkpoints. Two payloads exist:
 //
-//   - The envelope (this file): a versioned JSON document bundling the
-//     motion detector's learned models with the pinned set and the
-//     lifetime metrics. SaveState writes it; RestoreState reads it and
-//     also accepts the legacy v1 format (a bare motion.Snapshot, what
-//     SaveState wrote before the envelope existed).
+//   - The image: a versioned JSON envelope bundling the motion
+//     detector's learned models with the pinned set and the lifetime
+//     metrics.
 //
 //   - Journal records (Record): small JSON documents describing one
 //     incremental change each, appended to a statestore journal between
 //     snapshots. Every record is absolute (a full per-link stack image,
 //     the full pin list, a forget tombstone), so replay is last-wins
 //     and tolerant of duplicated delivery.
-const (
-	// stateVersion is the current envelope version. Version 1 is the
-	// pre-envelope format: a bare motion snapshot.
-	stateVersion = 2
-)
 
-// stateEnvelope is the on-disk SaveState document.
+// stateVersion is the image envelope version.
+const stateVersion = 2
+
+// stateEnvelope is the snapshot image document.
 type stateEnvelope struct {
 	Version int             `json:"version"`
 	Motion  json.RawMessage `json:"motion"`
@@ -52,12 +48,12 @@ type Record struct {
 	EPC  string            `json:"epc,omitempty"`
 }
 
-// SaveState persists the middleware's durable state — learned immobility
+// Image encodes the middleware's durable state — learned immobility
 // models, the pinned set, and lifetime metrics — as a versioned envelope.
-func (tw *Tagwatch) SaveState(w io.Writer) error {
+func (tw *Tagwatch) Image() ([]byte, error) {
 	var mbuf bytes.Buffer
 	if err := tw.det.Save(&mbuf); err != nil {
-		return err
+		return nil, err
 	}
 	env := stateEnvelope{
 		Version: stateVersion,
@@ -65,7 +61,11 @@ func (tw *Tagwatch) SaveState(w io.Writer) error {
 		Pinned:  tw.pinnedList(),
 		Metrics: tw.Metrics(),
 	}
-	return json.NewEncoder(w).Encode(env)
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(env); err != nil {
+		return nil, err
+	}
+	return buf.Bytes(), nil
 }
 
 // pinnedList returns the pinned set as sorted EPC strings, nil when
@@ -82,24 +82,14 @@ func (tw *Tagwatch) pinnedList() []string {
 	return pins
 }
 
-// RestoreState loads state written by SaveState: the current envelope or
-// the legacy bare motion snapshot. Validation is all-or-nothing — a
-// corrupt image leaves the middleware untouched.
-func (tw *Tagwatch) RestoreState(r io.Reader) error {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return fmt.Errorf("core: read state: %w", err)
-	}
+// RestoreImage loads an image written by Image. Validation is
+// all-or-nothing: a corrupt image leaves the middleware untouched.
+func (tw *Tagwatch) RestoreImage(data []byte) error {
 	var env stateEnvelope
 	if err := json.Unmarshal(data, &env); err != nil {
 		return fmt.Errorf("core: decode state: %w", err)
 	}
-	switch env.Version {
-	case 1:
-		// Legacy: the whole document IS the motion snapshot.
-		return tw.det.Load(bytes.NewReader(data))
-	case stateVersion:
-	default:
+	if env.Version != stateVersion {
 		return fmt.Errorf("core: state version %d, want %d", env.Version, stateVersion)
 	}
 
@@ -119,12 +109,6 @@ func (tw *Tagwatch) RestoreState(r io.Reader) error {
 	return nil
 }
 
-// LoadState restores state written by SaveState.
-//
-// Deprecated: kept as an alias for callers of the pre-envelope API; use
-// RestoreState.
-func (tw *Tagwatch) LoadState(r io.Reader) error { return tw.RestoreState(r) }
-
 func parsePins(pins []string) (map[epc.EPC]bool, error) {
 	out := make(map[epc.EPC]bool, len(pins))
 	for _, p := range pins {
@@ -137,17 +121,13 @@ func parsePins(pins []string) (map[epc.EPC]bool, error) {
 	return out, nil
 }
 
-// JournalRecords drains every state change since the previous drain as
-// marshalled journal records, ready for statestore.AppendBatch. Order
-// within the batch matters and is already correct: forget tombstones
-// first (so a forgotten-then-reobserved tag loses its stale links before
-// the fresh one is reinstated), then link images, then the pin set.
-// An empty slice means nothing changed.
-//
-// The drain is destructive: callers own getting the records to stable
-// storage. If the append fails, write a full snapshot instead — the
-// drained changes are still in live state, just no longer marked dirty.
-func (tw *Tagwatch) JournalRecords() ([][]byte, error) {
+// Changes drains every state change since the previous drain as
+// marshalled journal records. Order within the batch matters and is
+// already correct: forget tombstones first (so a forgotten-then-
+// reobserved tag loses its stale links before the fresh one is
+// reinstated), then link images, then the pin set. An empty slice means
+// nothing changed.
+func (tw *Tagwatch) Changes() ([][]byte, error) {
 	links, forgotten := tw.det.DrainChanges()
 	var recs [][]byte
 	add := func(r Record) error {
@@ -181,7 +161,7 @@ func (tw *Tagwatch) JournalRecords() ([][]byte, error) {
 	return recs, nil
 }
 
-// ApplyRecord replays one journal record produced by JournalRecords.
+// ApplyRecord replays one journal record produced by Changes.
 // A record that fails validation is rejected without mutating anything.
 func (tw *Tagwatch) ApplyRecord(data []byte) error {
 	var rec Record
@@ -211,11 +191,4 @@ func (tw *Tagwatch) ApplyRecord(data []byte) error {
 	default:
 		return fmt.Errorf("core: unknown journal record type %q", rec.Type)
 	}
-}
-
-// discardChanges clears the dirty tracking after a replay: restored
-// state is already durable and must not be re-journaled.
-func (tw *Tagwatch) discardChanges() {
-	tw.det.DrainChanges()
-	tw.pinsDirty = false
 }

@@ -131,8 +131,8 @@ type Tagwatch struct {
 	listeners []func(Reading)
 
 	pinned map[epc.EPC]bool
-	// pinsDirty marks the pinned set as changed since the last
-	// JournalRecords drain.
+	// pinsDirty marks the pinned set as changed since the last Changes
+	// drain.
 	pinsDirty bool
 	// lastRestless is the hysteresis memory: device time of each tag's
 	// most recent restless reading.

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -366,31 +364,6 @@ func TestNewDefaultsFilled(t *testing.T) {
 	}
 }
 
-func TestRunLoopDeliversReportsUntilCancelled(t *testing.T) {
-	tw, dev, _, _ := paperRig(t, 40, 10, 1, 0)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	out := tw.Run(ctx, 500*time.Millisecond)
-	var reports []CycleReport
-	for rep := range out {
-		reports = append(reports, rep)
-		if len(reports) == 4 {
-			cancel()
-		}
-		if len(reports) > 10 {
-			t.Fatal("run loop ignored cancellation")
-		}
-	}
-	if len(reports) < 4 {
-		t.Fatalf("reports = %d", len(reports))
-	}
-	// The pause advanced the virtual clock between cycles: total time must
-	// exceed 4 cycles + 3 pauses.
-	if dev.Now() < 4*2*time.Second+3*500*time.Millisecond {
-		t.Fatalf("clock = %v — pauses not applied", dev.Now())
-	}
-}
-
 func TestSaveLoadStateAcrossRestart(t *testing.T) {
 	// Warm a middleware instance, snapshot it, and resume in a fresh
 	// instance over the same scene: the resumed instance must not fall
@@ -399,8 +372,8 @@ func TestSaveLoadStateAcrossRestart(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		tw.RunCycle()
 	}
-	var buf bytes.Buffer
-	if err := tw.SaveState(&buf); err != nil {
+	img, err := tw.Image()
+	if err != nil {
 		t.Fatal(err)
 	}
 
@@ -408,7 +381,7 @@ func TestSaveLoadStateAcrossRestart(t *testing.T) {
 	cfg.PhaseIIDwell = 2 * time.Second
 	cfg.StickyFor = 5 * time.Second
 	resumed := New(cfg, dev)
-	if err := resumed.LoadState(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := resumed.RestoreImage(img); err != nil {
 		t.Fatal(err)
 	}
 	// No cold start: the very first resumed cycle must NOT flag the

@@ -285,13 +285,9 @@ type Manager struct {
 	admission *guard.Admission
 
 	// store is the durable registry backing; nil when StateDir is unset.
+	// Its Journal returns only after a concurrent Journal's append is
+	// acked, which SyncReplication's quiesce relies on.
 	store *statestore.Store
-	// flushMu serialises journal flushes and snapshots, so a flush that
-	// finds the dirty set empty still returns only after a concurrent
-	// flush has appended what it drained (SyncReplication's quiesce
-	// relies on it), and no flush appends an image older than a snapshot
-	// after it.
-	flushMu sync.Mutex
 	// shipper streams the store's journal to standbys; nil when
 	// ReplicateTo is empty.
 	shipper *replication.Shipper
@@ -527,7 +523,7 @@ func (m *Manager) SyncReplication(ctx context.Context) error {
 	if store == nil {
 		return errors.New("fleet: no durable state to sync")
 	}
-	if err := m.flushJournal(); err != nil {
+	if err := store.Journal(m.reg); err != nil {
 		return fmt.Errorf("fleet: sync flush: %w", err)
 	}
 	if shipper == nil {

@@ -1,6 +1,10 @@
 package fleet
 
-import "testing"
+import (
+	"bytes"
+	"os"
+	"testing"
+)
 
 // FuzzParseCursor exercises the Last-Event-ID / id: cursor parser with
 // arbitrary strings: no panics, and every accepted cursor must parse to
@@ -22,5 +26,69 @@ func FuzzParseCursor(f *testing.F) {
 		if !ok || again != identity || seqAgain != seq {
 			t.Fatalf("%q parsed to (%q, %d) but its formatted cursor to (%q, %d, %v)", s, identity, seq, again, seqAgain, ok)
 		}
+	})
+}
+
+// checkDecode applies one decoder to a registry restored from the golden
+// snapshot. A rejected input must leave the registry unchanged, with
+// nothing to journal; an accepted one must leave a state that encodes
+// again.
+func checkDecode(t *testing.T, golden []byte, decode func(*Registry) error) {
+	reg := NewRegistry()
+	if err := reg.RestoreImage(golden); err != nil {
+		t.Fatal(err)
+	}
+	before, err := reg.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := decode(reg); err == nil {
+		if _, err := reg.Image(); err != nil {
+			t.Fatalf("accepted input leaves a registry that does not encode: %v", err)
+		}
+		return
+	}
+	after, err := reg.Image()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Fatal("a rejected input changed the registry")
+	}
+	if recs, err := reg.Changes(); err != nil || len(recs) != 0 {
+		t.Fatalf("a rejected input left %d changes (%v)", len(recs), err)
+	}
+}
+
+// goldenSeeds reads a golden file, failing the fuzz target without it.
+func goldenSeeds(f *testing.F, name string) []byte {
+	data, err := os.ReadFile("testdata/" + name + ".golden")
+	if err != nil {
+		f.Fatal(err)
+	}
+	return data
+}
+
+// FuzzRestoreImage feeds arbitrary snapshot payloads to the registry.
+func FuzzRestoreImage(f *testing.F) {
+	golden := goldenSeeds(f, "snapshot")
+	f.Add(golden)
+	f.Add([]byte(`{"version":1,"tags":[{"epc":"30f4ab12cd0045e100000009"},{"epc":"zz"}]}`))
+	f.Add([]byte(`{"version":2,"tags":[]}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, golden, func(reg *Registry) error { return reg.RestoreImage(data) })
+	})
+}
+
+// FuzzApplyRecord feeds arbitrary journal records to the registry.
+func FuzzApplyRecord(f *testing.F) {
+	golden := goldenSeeds(f, "snapshot")
+	for _, rec := range bytes.Split(bytes.TrimSpace(goldenSeeds(f, "journal")), []byte("\n")) {
+		f.Add(rec)
+	}
+	f.Add([]byte(`{"type":"tag"}`))
+	f.Add([]byte(`{"type":"drop","epc":"30f4ab12cd0045e1000000"}`))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkDecode(t, golden, func(reg *Registry) error { return reg.ApplyRecord(data) })
 	})
 }

@@ -1,9 +1,11 @@
 package fleet
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"os"
 	"strings"
 	"sync"
 	"testing"
@@ -92,7 +94,7 @@ func TestFleetStateJournalSurvivesCrash(t *testing.T) {
 	}
 	m.reg.Observe("r0", core.Reading{EPC: a, Antenna: 1}, old)
 	m.reg.Observe("r0", core.Reading{EPC: b, Antenna: 2}, now)
-	if err := m.flushJournal(); err != nil {
+	if err := m.store.Journal(m.reg); err != nil {
 		t.Fatal(err)
 	}
 	m.reg.Observe("r0", core.Reading{EPC: b, Antenna: 3}, now) // dirty, never flushed
@@ -119,7 +121,7 @@ func TestFleetStateJournalSurvivesCrash(t *testing.T) {
 		t.Fatalf("pruned %d, want 1", n)
 	}
 	m2.reg.Observe("r1", core.Reading{EPC: a, Antenna: 4}, now)
-	if err := m2.flushJournal(); err != nil {
+	if err := m2.store.Journal(m2.reg); err != nil {
 		t.Fatal(err)
 	}
 	if err := m2.store.Close(); err != nil {
@@ -141,7 +143,7 @@ func TestFleetStateJournalSurvivesCrash(t *testing.T) {
 	}
 	// A snapshot compacts the chain; a fourth incarnation restores from
 	// it alone.
-	if err := m3.writeSnapshot(); err != nil {
+	if err := m3.store.Snapshot(m3.reg); err != nil {
 		t.Fatal(err)
 	}
 	want := regJSON(t, m3.reg)
@@ -160,7 +162,7 @@ func TestFleetStateJournalSurvivesCrash(t *testing.T) {
 }
 
 // snapshotHookFS runs hook whenever the store creates a snapshot's temp
-// file: a point inside writeSnapshot after the registry was copied.
+// file: a point inside Store.Snapshot after the registry was copied.
 type snapshotHookFS struct {
 	statestore.FS
 	hook func()
@@ -193,13 +195,13 @@ func TestFleetStateSnapshotKeepsChangeDuringWrite(t *testing.T) {
 		hookFS.hook = nil
 		m.reg.Observe("r0", core.Reading{EPC: late, Antenna: 2}, time.Now())
 	}
-	if err := m.writeSnapshot(); err != nil {
+	if err := m.store.Snapshot(m.reg); err != nil {
 		t.Fatal(err)
 	}
 	if hookFS.hook != nil {
 		t.Fatal("the snapshot created no temp file")
 	}
-	if err := m.flushJournal(); err != nil {
+	if err := m.store.Journal(m.reg); err != nil {
 		t.Fatal(err)
 	}
 	if err := m.store.Close(); err != nil {
@@ -259,14 +261,14 @@ func TestFleetStateSnapshotRacesFlush(t *testing.T) {
 				return
 			default:
 			}
-			if err := m.flushJournal(); err != nil {
+			if err := m.store.Journal(m.reg); err != nil {
 				errc <- err
 				return
 			}
 		}
 	}()
 	for i := 0; i < 20; i++ {
-		if err := m.writeSnapshot(); err != nil {
+		if err := m.store.Snapshot(m.reg); err != nil {
 			t.Error(err)
 			break
 		}
@@ -277,7 +279,7 @@ func TestFleetStateSnapshotRacesFlush(t *testing.T) {
 	for err := range errc {
 		t.Fatal(err)
 	}
-	if err := m.flushJournal(); err != nil {
+	if err := m.store.Journal(m.reg); err != nil {
 		t.Fatal(err)
 	}
 	want := regJSON(t, m.reg)
@@ -292,5 +294,60 @@ func TestFleetStateSnapshotRacesFlush(t *testing.T) {
 	defer m2.store.Close()
 	if got := regJSON(t, m2.reg); got != want {
 		t.Fatalf("recovered registry differs from the live one:\n got %s\nwant %s", got, want)
+	}
+}
+
+// TestFleetStateGolden pins the bytes the checkpoint protocol writes for
+// the registry: the snapshot image and the journal records of a fixed
+// set of observations, a handoff, two assessments and a prune. A diff
+// here is an on-disk format change, and state directories written
+// before it would no longer restore. Every time is fixed.
+func TestFleetStateGolden(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.StateDir = t.TempDir()
+	m := New(cfg)
+	if err := m.openState(); err != nil {
+		t.Fatal(err)
+	}
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 600, time.UTC)
+	a := mustEPC(t, "30f4ab12cd0045e100000001")
+	b := mustEPC(t, "30f4ab12cd0045e100000002")
+	c := mustEPC(t, "30f4ab12cd0045e100000003")
+	m.reg.Observe("r0", core.Reading{EPC: a, Antenna: 1, Time: 1500 * time.Millisecond}, t0)
+	m.reg.Observe("r0", core.Reading{EPC: b, Antenna: 2, Time: 2 * time.Second}, t0.Add(time.Second))
+	m.reg.Observe("r1", core.Reading{EPC: b, Antenna: 1, Time: 700 * time.Millisecond}, t0.Add(2*time.Second))
+	m.reg.UpdateAssessment("r1", b, true, 25.5)
+	m.reg.UpdateAssessment("r0", a, false, 3.25)
+	m.reg.Observe("r0", core.Reading{EPC: c, Antenna: 4}, t0.Add(-time.Hour))
+	if n := m.reg.Prune(t0.Add(-time.Minute)); n != 1 {
+		t.Fatalf("pruned %d, want 1", n)
+	}
+	if err := m.store.Journal(m.reg); err != nil {
+		t.Fatal(err)
+	}
+	m.store.Close()
+	if err := m.openState(); err != nil { // the registry reloads its own journal
+		t.Fatal(err)
+	}
+	journal := append(bytes.Join(m.store.Recovery().Records, []byte("\n")), '\n')
+	if err := m.store.Snapshot(m.reg); err != nil {
+		t.Fatal(err)
+	}
+	m.store.Close()
+	st, err := statestore.Open(cfg.StateDir, statestore.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	snapshot := st.Recovery().Snapshot
+
+	for name, got := range map[string][]byte{"snapshot": snapshot, "journal": journal} {
+		want, err := os.ReadFile("testdata/" + name + ".golden")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, want) {
+			t.Errorf("%s bytes differ from testdata/%s.golden:\n got %s\nwant %s", name, name, got, want)
+		}
 	}
 }

@@ -5,8 +5,7 @@
 // Tagwatch's value is its *learned* state — per-link Gaussian immobility
 // models that take minutes to converge, the pinned set, the fleet's
 // merged tag registry — and a process crash must not send the system
-// back to a cold start. The store offers exactly two durability
-// primitives:
+// back to a cold start. The store offers two durability primitives:
 //
 //   - WriteSnapshot(payload): a full-state checkpoint written atomically
 //     (tmp file → fsync → rename → directory fsync), CRC32C-checksummed
@@ -15,6 +14,10 @@
 //     generation's journal and fsynced before the call returns. A nil
 //     return is the durability ack: the record survives any crash after
 //     that point.
+//
+// On top of them sits the one checkpoint protocol both daemons use
+// (checkpoint.go): an Engine supplies its image, its drained changes and
+// a decoder for each, and Restore, Journal and Snapshot do the rest.
 //
 // Recovery (performed by Open) loads the newest snapshot that validates,
 // falling back generation by generation when a snapshot is corrupt, then
@@ -33,8 +36,8 @@
 // CRC32C of the payload (uint32 LE), payload length (uint64 LE), then
 // the payload. A journal is a sequence of records, each payload length
 // (uint32 LE), CRC32C of the payload (uint32 LE), then the payload.
-// Payloads are opaque to the store; the engine layers define their own
-// record grammar on top (see core.Record and fleet's registry records).
+// Payloads are opaque to the store; each Engine defines its own grammar
+// (see core.Record and fleet's registry records).
 package statestore
 
 import (
@@ -123,6 +126,9 @@ type Store struct {
 	dir    string
 	fs     FS
 	retain int
+
+	// ckptMu serialises Journal and Snapshot; it is taken before mu.
+	ckptMu sync.Mutex
 
 	mu           sync.Mutex
 	gen          uint64
@@ -298,11 +304,7 @@ func (s *Store) AppendBatch(records [][]byte) error {
 		if len(r) > maxRecordLen {
 			return fmt.Errorf("statestore: record of %d bytes exceeds limit", len(r))
 		}
-		var hdr [recHeaderLen]byte
-		binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(r)))
-		binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(r, castagnoli))
-		buf = append(buf, hdr[:]...)
-		buf = append(buf, r...)
+		buf = appendRecord(buf, r)
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -377,6 +379,13 @@ func (s *Store) WriteSnapshot(payload []byte) error {
 	return nil
 }
 
+// appendRecord appends one framed journal record to buf.
+func appendRecord(buf, r []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(r)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.Checksum(r, castagnoli))
+	return append(buf, r...)
+}
+
 // notifyLocked signals every registered watcher that the committed
 // cursor advanced. Non-blocking by construction: each watcher channel
 // has capacity one and a pending signal coalesces.
@@ -395,12 +404,7 @@ func (s *Store) writeSnapshotFile(name string, payload []byte) error {
 	if err != nil {
 		return err
 	}
-	hdr := make([]byte, snapHeaderLen)
-	copy(hdr[0:8], snapMagic)
-	binary.LittleEndian.PutUint32(hdr[8:12], snapVersion)
-	binary.LittleEndian.PutUint32(hdr[12:16], crc32.Checksum(payload, castagnoli))
-	binary.LittleEndian.PutUint64(hdr[16:24], uint64(len(payload)))
-	if _, err := f.Write(hdr); err != nil {
+	if _, err := f.Write(snapshotHeader(payload)); err != nil {
 		f.Close()
 		return err
 	}
@@ -413,6 +417,15 @@ func (s *Store) writeSnapshotFile(name string, payload []byte) error {
 		return err
 	}
 	return f.Close()
+}
+
+// snapshotHeader returns the header that precedes payload in a
+// snapshot file.
+func snapshotHeader(payload []byte) []byte {
+	hdr := append(make([]byte, 0, snapHeaderLen), snapMagic...)
+	hdr = binary.LittleEndian.AppendUint32(hdr, snapVersion)
+	hdr = binary.LittleEndian.AppendUint32(hdr, crc32.Checksum(payload, castagnoli))
+	return binary.LittleEndian.AppendUint64(hdr, uint64(len(payload)))
 }
 
 // gc removes generations older than the retain-newest snapshots. Journal
