@@ -65,7 +65,8 @@ soak:
 	TAGWATCH_SOAK=full GOMEMLIMIT=512MiB go test -race -count=1 -run TestSoakFloodSurvival -v ./internal/fleet/
 
 # Short fuzz bursts on the wire-facing decoders, the disk decoders of
-# the checkpoint protocol and the -chaos flag parser, mirroring CI. Go
+# the checkpoint protocol, the per-reader count JSON and the -chaos flag
+# parser, mirroring CI. Go
 # allows one -fuzz target per invocation.
 fuzz-smoke:
 	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -run '^$$' ./internal/llrp/
@@ -79,6 +80,8 @@ fuzz-smoke:
 	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/core/
 	go test -fuzz=FuzzRestoreImage -fuzztime=10s -run '^$$' ./internal/fleet/
 	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzReaderCounts -fuzztime=10s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$$' ./internal/replication/
 
 # The perf-trajectory rig: the core data-plane benchmarks (wire codec,
 # schedule solver, motion model, EPC ops, WAL append, registry merge,

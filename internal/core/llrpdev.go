@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"tagwatch/internal/aloha"
@@ -16,7 +17,7 @@ import (
 // transport of the paper's prototype (ImpinJ LTK → here our own LLRP
 // client). Each ReadAll/ReadSelective call compiles to one ROSpec,
 // executes it, and emits the report stream one RO_ACCESS_REPORT at a
-// time until the ROSpec ends.
+// time until the ROSpec ends and its DELETE_ROSPEC has been answered.
 type LLRPDevice struct {
 	// Conn is an established LLRP connection.
 	Conn *llrp.Conn
@@ -28,6 +29,7 @@ type LLRPDevice struct {
 	nextID      uint32
 	base        uint64 // UTC µs of the first report; maps wire time to Duration
 	latest      time.Duration
+	discarded   atomic.Uint64
 }
 
 // The ROSpec parameters every LLRPDevice uses.
@@ -130,23 +132,56 @@ func (d *LLRPDevice) buildSpec(masks []schedule.Bitmask, slice, total time.Durat
 	return spec
 }
 
-// runSpec installs, runs and drains one ROSpec, then deletes it,
-// emitting each RO_ACCESS_REPORT as it arrives. The error reports
-// transport failure — control operations rejected or timed out, or the
-// connection dying mid-spec — after whatever reports arrived first were
-// emitted. A clean drain (end event or idle gap) is not an error.
+// runSpec installs, runs and ends one ROSpec, emitting each
+// RO_ACCESS_REPORT of this spec as it arrives. The error reports
+// transport failure — control operations rejected or timed out, the
+// final delete included, or the connection dying mid-spec — after
+// whatever reports arrived first were emitted. A clean end (end event
+// or idle gap) is not an error.
 func (d *LLRPDevice) runSpec(spec llrp.ROSpec, emit func([]Reading)) error {
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := d.Conn.AddROSpec(ctx, spec); err != nil {
 		return fmt.Errorf("add ROSpec %d: %w", spec.ID, err)
 	}
-	defer d.Conn.DeleteROSpec(ctx, spec.ID)
-	if err := d.Conn.EnableROSpec(ctx, spec.ID); err != nil {
-		return fmt.Errorf("enable ROSpec %d: %w", spec.ID, err)
+	// report converts and emits one RO_ACCESS_REPORT; the conn drops
+	// empty ones. A tag report naming another ROSpec is a straggler of
+	// an earlier spec: it is counted and never emitted, so it cannot
+	// land in this phase. ROSpecID 0 means the reader did not say, and
+	// the report belongs to the open spec.
+	var buf []Reading
+	report := func(batch []llrp.TagReportData) {
+		buf = buf[:0]
+		for _, tr := range batch {
+			if tr.ROSpecID != 0 && tr.ROSpecID != spec.ID {
+				d.discarded.Add(1)
+				continue
+			}
+			buf = append(buf, d.toReading(tr))
+		}
+		if len(buf) > 0 {
+			emit(buf)
+		}
 	}
-	if err := d.Conn.StartROSpec(ctx, spec.ID); err != nil {
-		return fmt.Errorf("start ROSpec %d: %w", spec.ID, err)
+	err := d.await(ctx, spec.ID, report)
+	if err != nil && d.Conn.Err() != nil {
+		return err // the connection died: nothing is left to delete on
+	}
+	if derr := d.deleteSpec(ctx, spec.ID, report); derr != nil {
+		err = errors.Join(err, fmt.Errorf("delete ROSpec %d: %w", spec.ID, derr))
+	}
+	return err
+}
+
+// await enables and starts the installed spec and emits its reports
+// until the reader ends it: on its ROSpecEnded event, or after an idle
+// gap for readers that send no end events.
+func (d *LLRPDevice) await(ctx context.Context, id uint32, report func([]llrp.TagReportData)) error {
+	if err := d.Conn.EnableROSpec(ctx, id); err != nil {
+		return fmt.Errorf("enable ROSpec %d: %w", id, err)
+	}
+	if err := d.Conn.StartROSpec(ctx, id); err != nil {
+		return fmt.Errorf("start ROSpec %d: %w", id, err)
 	}
 	// connErr shapes the connection's terminal error once the report
 	// stream closes under us.
@@ -156,30 +191,7 @@ func (d *LLRPDevice) runSpec(spec llrp.ROSpec, emit func([]Reading)) error {
 		}
 		return fmt.Errorf("report stream closed mid-ROSpec")
 	}
-	// report converts and emits one RO_ACCESS_REPORT; the conn drops
-	// empty ones.
-	var buf []Reading
-	report := func(batch []llrp.TagReportData) {
-		buf = buf[:0]
-		for _, tr := range batch {
-			buf = append(buf, d.toReading(tr))
-		}
-		emit(buf)
-	}
 	deadline := time.After(30 * time.Second)
-	drain := func(gap time.Duration) {
-		for {
-			select {
-			case batch, ok := <-d.Conn.Reports():
-				if !ok {
-					return
-				}
-				report(batch)
-			case <-time.After(gap):
-				return
-			}
-		}
-	}
 	for {
 		select {
 		case batch, ok := <-d.Conn.Reports():
@@ -191,28 +203,65 @@ func (d *LLRPDevice) runSpec(spec llrp.ROSpec, emit func([]Reading)) error {
 			if !ok {
 				return connErr()
 			}
-			// The reader notifies when a duration-triggered ROSpec ends:
-			// drain in-flight reports briefly and return without waiting
-			// out the idle gap.
-			if ev.ROSpec != nil && ev.ROSpec.Type == llrp.ROSpecEnded && ev.ROSpec.ROSpecID == spec.ID {
-				drain(20 * time.Millisecond)
+			// Reports still in flight behind the end event are collected
+			// by the delete that follows.
+			if ev.ROSpec != nil && ev.ROSpec.Type == llrp.ROSpecEnded && ev.ROSpec.ROSpecID == id {
 				return nil
 			}
 		case <-time.After(idleGap):
 			// Fallback for readers that do not send end events. A stop
 			// failure here means the link is gone, not merely quiet.
-			if err := d.Conn.StopROSpec(ctx, spec.ID); err != nil {
-				return fmt.Errorf("stop ROSpec %d after idle gap: %w", spec.ID, err)
+			if err := d.Conn.StopROSpec(ctx, id); err != nil {
+				return fmt.Errorf("stop ROSpec %d after idle gap: %w", id, err)
 			}
 			return nil
 		case <-deadline:
 			// tagwatchvet(deverr): the stop failure is evidence too — it
 			// distinguishes "reader wedged but link alive" from "link dead".
-			stopErr := d.Conn.StopROSpec(ctx, spec.ID)
-			return errors.Join(fmt.Errorf("ROSpec %d overran the 30s guard", spec.ID), stopErr)
+			stopErr := d.Conn.StopROSpec(ctx, id)
+			return errors.Join(fmt.Errorf("ROSpec %d overran the 30s guard", id), stopErr)
 		}
 	}
 }
+
+// deleteSpec deletes the spec, and its response is the barrier that
+// ends it: the conn dispatches frames in wire order, so once the
+// DELETE_ROSPEC response is in, every report the reader sent before it
+// is queued on Reports(). Reports are emitted while the round trip is
+// in flight, because a full channel would block the conn's read loop
+// and with it the response; what is queued afterwards is taken without
+// waiting.
+func (d *LLRPDevice) deleteSpec(ctx context.Context, id uint32, report func([]llrp.TagReportData)) error {
+	done := make(chan error, 1)
+	go func() { done <- d.Conn.DeleteROSpec(ctx, id) }()
+	reports := d.Conn.Reports()
+	for {
+		select {
+		case batch, ok := <-reports:
+			if !ok {
+				reports = nil // closed: the delete fails on the dead conn
+				continue
+			}
+			report(batch)
+		case err := <-done:
+			for {
+				select {
+				case batch, ok := <-reports:
+					if !ok {
+						return err
+					}
+					report(batch)
+				default:
+					return err
+				}
+			}
+		}
+	}
+}
+
+// Discarded reports how many tag reports named another ROSpec than the
+// open one and were dropped. Safe to call from any goroutine.
+func (d *LLRPDevice) Discarded() uint64 { return d.discarded.Load() }
 
 // toReading converts a wire tag report into the middleware reading.
 func (d *LLRPDevice) toReading(tr llrp.TagReportData) Reading {

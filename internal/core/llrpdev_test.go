@@ -2,12 +2,16 @@ package core
 
 import (
 	"context"
+	"encoding/binary"
 	"math/rand"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tagwatch/internal/epc"
 	"tagwatch/internal/llrp"
+	"tagwatch/internal/llrp/llrptest"
 	"tagwatch/internal/reader"
 	"tagwatch/internal/rf"
 	"tagwatch/internal/scene"
@@ -166,5 +170,174 @@ func TestTagwatchOverLLRP(t *testing.T) {
 	// fallen back or scheduled every present tag.
 	if !rep.FellBack && len(rep.Targets) == 0 {
 		t.Fatal("cold-start cycle must target or fall back")
+	}
+}
+
+// script answers the request types a barrier test cares about; each
+// entry sends its own reply. Every other request succeeds.
+type script map[llrp.MessageType]func(s *llrptest.Session, req llrp.Message, id uint32)
+
+// scriptedDevice connects an LLRPDevice to a scripted reader.
+func scriptedDevice(t *testing.T, sc script) *LLRPDevice {
+	t.Helper()
+	addr := llrptest.Listen(t, func(s *llrptest.Session, req llrp.Message) bool {
+		f := sc[req.Type]
+		if f == nil {
+			return s.Reply(req, llrp.StatusSuccess) == nil
+		}
+		id, _ := llrp.ROSpecIDOf(req)
+		f(s, req, id)
+		return true
+	})
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	conn, err := llrp.Dial(ctx, addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { conn.Close() })
+	return NewLLRPDevice(conn)
+}
+
+// tagReport is one sighting of the i-th test tag under an ROSpec.
+func tagReport(i int, rospecID uint32) llrp.TagReportData {
+	code := make([]byte, 12)
+	binary.BigEndian.PutUint32(code[8:], uint32(i+1))
+	return llrp.TagReportData{
+		EPC:          epc.New(code),
+		ROSpecID:     rospecID,
+		AntennaID:    1,
+		ChannelIndex: 1,
+		FirstSeenUTC: uint64(1_000_000 + i),
+	}
+}
+
+// startThen answers START and then runs more of the script.
+func startThen(then func(s *llrptest.Session, id uint32)) func(*llrptest.Session, llrp.Message, uint32) {
+	return func(s *llrptest.Session, req llrp.Message, id uint32) {
+		if s.Reply(req, llrp.StatusSuccess) == nil {
+			then(s, id)
+		}
+	}
+}
+
+// TestLLRPDeviceBarrierCollectsLateReports: a report the reader sends
+// after ROSpecEnded but before answering DELETE_ROSPEC belongs to this
+// ROSpec and is emitted within the same call.
+func TestLLRPDeviceBarrierCollectsLateReports(t *testing.T) {
+	dev := scriptedDevice(t, script{
+		llrp.MsgStartROSpec: startThen(func(s *llrptest.Session, id uint32) {
+			_ = s.Report(tagReport(0, id))
+			_ = s.Ended(id)
+		}),
+		llrp.MsgDeleteROSpec: func(s *llrptest.Session, req llrp.Message, id uint32) {
+			_ = s.Report(tagReport(1, id))
+			_ = s.Reply(req, llrp.StatusSuccess)
+		},
+	})
+	var reads []Reading
+	if err := dev.ReadAll(collect(&reads)); err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	if len(reads) != 2 || reads[0].EPC != tagReport(0, 0).EPC || reads[1].EPC != tagReport(1, 0).EPC {
+		t.Fatalf("emitted %v, want the report before the end event and the one before the delete response", reads)
+	}
+}
+
+// TestLLRPDeviceDiscardsStrayReports: tag reports naming another
+// ROSpec are counted and never emitted; a report with no ROSpecID
+// belongs to the open spec, and a report of strays alone emits nothing.
+func TestLLRPDeviceDiscardsStrayReports(t *testing.T) {
+	dev := scriptedDevice(t, script{
+		llrp.MsgStartROSpec: startThen(func(s *llrptest.Session, id uint32) {
+			_ = s.Report(tagReport(0, id+5), tagReport(1, id), tagReport(2, id+5), tagReport(3, 0))
+			_ = s.Report(tagReport(4, id+1))
+			_ = s.Ended(id)
+		}),
+	})
+	var reads []Reading
+	err := dev.ReadAll(func(batch []Reading) {
+		if len(batch) == 0 {
+			t.Error("empty batch emitted")
+		}
+		reads = append(reads, batch...)
+	})
+	if err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	if len(reads) != 2 || reads[0].EPC != tagReport(1, 0).EPC || reads[1].EPC != tagReport(3, 0).EPC {
+		t.Fatalf("emitted %v, want tags 1 and 3 only", reads)
+	}
+	if got := dev.Discarded(); got != 3 {
+		t.Fatalf("Discarded() = %d, want the 3 stray tag reports", got)
+	}
+}
+
+// TestLLRPDeviceBarrierDrainsFullQueue: more reports than the conn's
+// 256-slot channel holds, all sent ahead of the DELETE_ROSPEC response,
+// arrive without deadlocking the read loop behind the response.
+func TestLLRPDeviceBarrierDrainsFullQueue(t *testing.T) {
+	const n = 600
+	dev := scriptedDevice(t, script{
+		llrp.MsgStartROSpec: startThen(func(s *llrptest.Session, id uint32) { _ = s.Ended(id) }),
+		llrp.MsgDeleteROSpec: func(s *llrptest.Session, req llrp.Message, id uint32) {
+			for i := 0; i < n; i++ {
+				_ = s.Report(tagReport(i, id))
+			}
+			_ = s.Reply(req, llrp.StatusSuccess)
+		},
+	})
+	var reads []Reading
+	if err := dev.ReadAll(collect(&reads)); err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	if len(reads) != n {
+		t.Fatalf("emitted %d readings, want %d", len(reads), n)
+	}
+}
+
+// TestLLRPDeviceIdleGapWithoutEndEvents: a reader that never sends end
+// events is stopped after the idle gap, and its reports are kept.
+func TestLLRPDeviceIdleGapWithoutEndEvents(t *testing.T) {
+	var stopped atomic.Bool
+	dev := scriptedDevice(t, script{
+		llrp.MsgStartROSpec: startThen(func(s *llrptest.Session, id uint32) { _ = s.Report(tagReport(0, id)) }),
+		llrp.MsgStopROSpec: func(s *llrptest.Session, req llrp.Message, id uint32) {
+			stopped.Store(true)
+			_ = s.Reply(req, llrp.StatusSuccess)
+		},
+	})
+	var reads []Reading
+	start := time.Now()
+	if err := dev.ReadAll(collect(&reads)); err != nil {
+		t.Fatalf("ReadAll: %v", err)
+	}
+	if len(reads) != 1 || !stopped.Load() {
+		t.Fatalf("emitted %d readings, stopped=%v; want 1 reading and a STOP_ROSPEC", len(reads), stopped.Load())
+	}
+	if el := time.Since(start); el < idleGap {
+		t.Fatalf("returned after %v, before the %v idle gap", el, idleGap)
+	}
+}
+
+// TestLLRPDeviceFailedDeleteIsAnError: a rejected DELETE_ROSPEC is the
+// call's error, returned after the spec's reports were emitted.
+func TestLLRPDeviceFailedDeleteIsAnError(t *testing.T) {
+	dev := scriptedDevice(t, script{
+		llrp.MsgStartROSpec: startThen(func(s *llrptest.Session, id uint32) {
+			_ = s.Report(tagReport(0, id))
+			_ = s.Ended(id)
+		}),
+		llrp.MsgDeleteROSpec: func(s *llrptest.Session, req llrp.Message, id uint32) {
+			_ = s.Reply(req, llrp.StatusFieldError)
+		},
+	})
+	var reads []Reading
+	err := dev.ReadAll(collect(&reads))
+	if err == nil || !strings.Contains(err.Error(), "delete ROSpec") {
+		t.Fatalf("ReadAll = %v, want the delete's error", err)
+	}
+	if len(reads) != 1 {
+		t.Fatalf("emitted %d readings before the failed delete, want 1", len(reads))
 	}
 }

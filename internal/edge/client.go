@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"time"
@@ -464,13 +465,8 @@ func sameTagState(a, b fleet.TagState) bool {
 	if a.EPC != b.EPC || a.Reader != b.Reader || a.Antenna != b.Antenna ||
 		!a.LastSeen.Equal(b.LastSeen) || a.DeviceTime != b.DeviceTime ||
 		a.Reads != b.Reads || a.Mobile != b.Mobile || a.IRR != b.IRR ||
-		a.Handoffs != b.Handoffs || len(a.Readers) != len(b.Readers) {
+		a.Handoffs != b.Handoffs {
 		return false
 	}
-	for k, v := range a.Readers {
-		if b.Readers[k] != v {
-			return false
-		}
-	}
-	return true
+	return slices.Equal(a.Readers, b.Readers)
 }

@@ -160,9 +160,11 @@ type Subscriber struct {
 	gapsOut atomic.Uint64
 	closed  bool
 
-	// gapFrom/gapTo (guarded by bus.mu) accumulate the range lost since
-	// the last successful delivery; zero gapFrom means no pending gap.
-	gapFrom uint64
+	// gapFrom/gapTo (written under bus.mu) accumulate the range lost
+	// since the last successful delivery; zero gapFrom means no pending
+	// gap. gapFrom is atomic so FlushGap can skip the lock when no gap
+	// is pending.
+	gapFrom atomic.Uint64
 	gapTo   uint64
 }
 
@@ -273,14 +275,15 @@ func (b *Bus) Publish(ev Event) {
 		}
 	}
 	for _, s := range b.subs {
-		if s.gapFrom != 0 {
+		if from := s.gapFrom.Load(); from != 0 {
 			gap := Event{
 				Type: EventGap, At: ev.At,
-				Seq: s.gapTo, GapFrom: s.gapFrom, GapTo: s.gapTo,
+				Seq: s.gapTo, GapFrom: from, GapTo: s.gapTo,
 			}
 			select {
 			case s.ch <- gap:
-				s.gapFrom, s.gapTo = 0, 0
+				s.gapFrom.Store(0)
+				s.gapTo = 0
 				s.gapsOut.Add(1)
 				b.gaps.Add(1)
 			default:
@@ -294,7 +297,8 @@ func (b *Bus) Publish(ev Event) {
 		select {
 		case s.ch <- ev:
 		default:
-			s.gapFrom, s.gapTo = ev.Seq, ev.Seq
+			s.gapFrom.Store(ev.Seq)
+			s.gapTo = ev.Seq
 			s.dropped.Add(1)
 			b.dropped.Add(1)
 		}
@@ -438,24 +442,32 @@ func (s *Subscriber) Gaps() uint64 { return s.gapsOut.Load() }
 // before the next delivery, but when the hole sits at the very tail of
 // a burst there IS no next delivery — without a flush the loss would
 // stay unannounced until the next event, which may be arbitrarily far
-// away. Streamers call this on heartbeat ticks, bounding the
-// announcement delay to one heartbeat. Ordering stays correct: every
-// event already buffered precedes the hole, and any concurrent Publish
-// serialises behind bus.mu.
+// away. Streamers call this whenever they empty the subscriber's
+// queue, so the loss is announced right after the events before it.
+// Ordering stays correct: every event already buffered precedes the
+// hole, and any concurrent Publish serialises behind bus.mu. With no
+// gap pending it returns without taking bus.mu; a Publish still inside
+// its drop may be missed that way, so streamers also call this on
+// heartbeat ticks.
 func (s *Subscriber) FlushGap() bool {
+	if s.gapFrom.Load() == 0 {
+		return false
+	}
 	b := s.bus
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	if s.closed || s.gapFrom == 0 {
+	from := s.gapFrom.Load()
+	if s.closed || from == 0 {
 		return false
 	}
 	gap := Event{
 		Type: EventGap, At: time.Now(),
-		Seq: s.gapTo, GapFrom: s.gapFrom, GapTo: s.gapTo,
+		Seq: s.gapTo, GapFrom: from, GapTo: s.gapTo,
 	}
 	select {
 	case s.ch <- gap:
-		s.gapFrom, s.gapTo = 0, 0
+		s.gapFrom.Store(0)
+		s.gapTo = 0
 		s.gapsOut.Add(1)
 		b.gaps.Add(1)
 		return true

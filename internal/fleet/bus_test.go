@@ -191,7 +191,8 @@ func TestBusGapExtendsWhileWedged(t *testing.T) {
 
 // TestBusFlushGapAnnouncesTailLoss: when the hole sits at the very end
 // of a burst there is no later publish to carry the gap announcement —
-// FlushGap (called by streamers on heartbeat ticks) must surface it.
+// FlushGap (called by streamers when a send leaves the subscriber's
+// queue empty, and on heartbeat ticks) must surface it.
 func TestBusFlushGapAnnouncesTailLoss(t *testing.T) {
 	b := NewBus()
 	sub := b.Subscribe(2)

@@ -15,6 +15,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -118,8 +119,33 @@ func TestFleetReconnectAndMergedRegistry(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	m := New(cfg)
+	// The subscriber is read as events arrive: the readers publish tag
+	// images as fast as they read, and a buffer read only at the end
+	// would fill with them before r2's transitions are published.
 	events := m.Bus().Subscribe(1024)
-	defer events.Close()
+	var (
+		evMu     sync.Mutex
+		r2States []Event // r2's reader_state events, in order
+		gaps     int
+	)
+	consumed := make(chan struct{})
+	go func() {
+		defer close(consumed)
+		for ev := range events.C() {
+			evMu.Lock()
+			switch {
+			case ev.Type == EventGap:
+				gaps++
+			case ev.Type == EventReaderState && ev.Reader == "r2":
+				r2States = append(r2States, ev)
+			}
+			evMu.Unlock()
+		}
+	}()
+	defer func() {
+		events.Close()
+		<-consumed
+	}()
 	if err := m.Start(ctx); err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +191,7 @@ func TestFleetReconnectAndMergedRegistry(t *testing.T) {
 		return handoffs >= 1
 	})
 	if st, ok := m.Registry().Get(shared[0]); !ok || st.Handoffs < 1 ||
-		(st.Readers["r0"] == 0 || st.Readers["r1"] == 0) {
+		(st.Readers.Get("r0") == 0 || st.Readers.Get("r1") == 0) {
 		st, _ := m.Registry().Get(shared[0])
 		t.Fatalf("shared tag state: %+v", st)
 	}
@@ -213,24 +239,27 @@ func TestFleetReconnectAndMergedRegistry(t *testing.T) {
 		t.Fatalf("registry diverged across restart: %d tags, want %d", m.Registry().Len(), distinct)
 	}
 
-	// The bus saw the full story: r2 going up, leaving up, and coming back.
-	var sawBackoff, sawReUp bool
-	drain := time.After(5 * time.Second)
-	for !(sawBackoff && sawReUp) {
-		select {
-		case ev := <-events.C():
-			if ev.Type != EventReaderState || ev.Reader != "r2" {
-				continue
-			}
+	// The bus saw the full story: r2 going up, leaving up, and coming
+	// back, with nothing lost on the way.
+	waitFor(t, 5*time.Second, "r2's backoff and re-up on the event stream", func() bool {
+		evMu.Lock()
+		defer evMu.Unlock()
+		sawBackoff := false
+		for _, ev := range r2States {
 			if ev.State == "backoff" || ev.State == "connecting" && ev.Attempt > 1 {
 				sawBackoff = true
 			}
 			if ev.State == "up" && sawBackoff {
-				sawReUp = true
+				return true
 			}
-		case <-drain:
-			t.Fatalf("event stream incomplete: backoff=%v reUp=%v", sawBackoff, sawReUp)
 		}
+		return false
+	})
+	evMu.Lock()
+	lost := gaps
+	evMu.Unlock()
+	if lost > 0 || events.Dropped() > 0 {
+		t.Fatalf("the subscriber lost %d events in %d gaps", events.Dropped(), lost)
 	}
 
 	// Metrics reflect the reconnect.

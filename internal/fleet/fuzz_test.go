@@ -2,6 +2,7 @@ package fleet
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"testing"
 )
@@ -90,5 +91,60 @@ func FuzzApplyRecord(f *testing.F) {
 	f.Add([]byte(`{"type":"drop","epc":"30f4ab12cd0045e1000000"}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, golden, func(reg *Registry) error { return reg.ApplyRecord(data) })
+	})
+}
+
+// FuzzReaderCounts holds ReaderCounts' JSON to the map[string]uint64 it
+// replaced: the same inputs are accepted, and an accepted value
+// re-encodes to the map's bytes, with HTML escaping on and off.
+func FuzzReaderCounts(f *testing.F) {
+	for _, s := range []string{
+		`null`, `{}`, `{"r0":1}`, `{"r0":1,"r1":18446744073709551615}`,
+		`{"b":1,"a":2}`, `{"a":1,"a":2}`, `{"a":null}`, ` { "a" : 1 } `,
+		`{"løft":3}`, `{"dock<2>&":1}`, `{"dock\u003c2\u003e\u0026":1}`, `{" ":1}`,
+		`{"\ud800":1}`, "{\"\xff\":1}", `{"a\"b\\c\n":1}`,
+		`{"a":01}`, `{"a":-1}`, `{"a":1.0}`, `{"a":1e2}`, `{"a":18446744073709551616}`,
+		`{"a":"1"}`, `{"a":1,}`, `[]`, `1`, `"x"`, ``,
+	} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var m map[string]uint64
+		mapErr := json.Unmarshal(data, &m)
+		var rc ReaderCounts
+		err := json.Unmarshal(data, &rc)
+		var direct ReaderCounts
+		directErr := direct.UnmarshalJSON(data)
+		if (err == nil) != (mapErr == nil) || (directErr == nil) != (mapErr == nil) {
+			t.Fatalf("%q: map decoder says %v, ReaderCounts %v (direct %v)", data, mapErr, err, directErr)
+		}
+		if mapErr != nil {
+			return
+		}
+		if (rc == nil) != (m == nil) || len(rc) != len(m) {
+			t.Fatalf("%q decodes to %v, the map to %v", data, rc, m)
+		}
+		for i, c := range rc {
+			if i > 0 && rc[i-1].Reader >= c.Reader {
+				t.Fatalf("%q decodes unsorted: %v", data, rc)
+			}
+			if v, ok := m[c.Reader]; !ok || v != c.Reads {
+				t.Fatalf("%q decodes to %v, the map to %v", data, rc, m)
+			}
+		}
+		encode := func(v any, escapeHTML bool) []byte {
+			var buf bytes.Buffer
+			enc := json.NewEncoder(&buf)
+			enc.SetEscapeHTML(escapeHTML)
+			if err := enc.Encode(v); err != nil {
+				t.Fatal(err)
+			}
+			return buf.Bytes()
+		}
+		for _, escapeHTML := range []bool{true, false} {
+			if got, want := encode(rc, escapeHTML), encode(m, escapeHTML); !bytes.Equal(got, want) {
+				t.Fatalf("%q re-encodes (escape HTML %v) to %s, the map to %s", data, escapeHTML, got, want)
+			}
+		}
 	})
 }

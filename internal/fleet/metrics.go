@@ -37,6 +37,10 @@ func (m *Manager) writeMetrics(p *promtext.Page) {
 	for _, rs := range readers {
 		f.Uint(rs.Readings, "reader", rs.Name)
 	}
+	f = p.Counter("tagwatch_fleet_reader_discarded_reports_total", "Tag reports dropped per reader because they named another ROSpec than the running one.")
+	for _, rs := range readers {
+		f.Uint(rs.DiscardedReports, "reader", rs.Name)
+	}
 	perReader(p.Gauge("tagwatch_fleet_reader_tripped", "Whether the supervisor spent its panic-restart budget and is dead."),
 		func(rs ReaderStatus) int64 { return promtext.Bool(rs.Tripped) })
 	perReader(p.Gauge("tagwatch_fleet_reader_panic_restarts", "Panic restarts inside the current budget window per reader."),

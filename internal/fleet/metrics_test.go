@@ -9,10 +9,13 @@ import (
 	"reflect"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"tagwatch/internal/core"
+	"tagwatch/internal/llrp"
+	"tagwatch/internal/llrp/llrptest"
 	"tagwatch/internal/promtext"
 	"tagwatch/internal/replication"
 )
@@ -139,5 +142,86 @@ func TestStandbyMetricsMatchStatus(t *testing.T) {
 	}
 	if want["tagwatch_standby_connected"] != 1 || want["tagwatch_standby_records_applied_total"] == 0 {
 		t.Fatalf("no live session was measured: %v", want)
+	}
+}
+
+// TestDiscardedReportsMetric: tag reports naming another ROSpec than
+// the running one are dropped, and each reader's count of them, summed
+// over its sessions, reaches /api/readers and /metrics exactly. The
+// scripted reader sends two strays in each of its first two ROSpecs,
+// hangs up, and sends three more in the first ROSpec of the next
+// session.
+func TestDiscardedReportsMetric(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		specs = map[*llrptest.Session]int{}
+		sent  int
+		clock uint64 // µs; the device clock advances 50 ms per ROSpec
+	)
+	code := mustEPC(t, "30f4ab12cd0045e100000001")
+	addr := llrptest.Listen(t, func(s *llrptest.Session, req llrp.Message) bool {
+		id, _ := llrp.ROSpecIDOf(req)
+		mu.Lock()
+		defer mu.Unlock()
+		switch req.Type {
+		case llrp.MsgStartROSpec:
+			if s.Reply(req, llrp.StatusSuccess) != nil {
+				return false
+			}
+			specs[s]++
+			strays := 0
+			switch {
+			case len(specs) == 1 && specs[s] <= 2:
+				strays = 2
+			case len(specs) == 2 && specs[s] == 1:
+				strays = 3
+			}
+			clock += 50_000
+			reports := []llrp.TagReportData{{EPC: code, ROSpecID: id, AntennaID: 1, ChannelIndex: 1, FirstSeenUTC: clock}}
+			for i := 0; i < strays; i++ {
+				reports = append(reports, llrp.TagReportData{EPC: code, ROSpecID: id + 100, AntennaID: 1, ChannelIndex: 1})
+			}
+			sent += strays
+			return s.Report(reports...) == nil && s.Ended(id) == nil
+		case llrp.MsgDeleteROSpec:
+			if len(specs) == 1 && specs[s] == 3 {
+				return false // hang up: the supervisor starts a second session
+			}
+		}
+		return s.Reply(req, llrp.StatusSuccess) == nil
+	})
+
+	cfg := DefaultConfig()
+	cfg.Readers = []ReaderConfig{{Name: "r0", Addr: addr}}
+	cfg.KeepalivePeriod = 0
+	cfg.BackoffBase = 10 * time.Millisecond
+	cfg.BackoffMax = 20 * time.Millisecond
+	cfg.Tagwatch.PhaseIIDwell = 50 * time.Millisecond
+	m := New(cfg)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	if err := m.Start(ctx); err != nil {
+		t.Fatal(err)
+	}
+	defer m.Stop()
+	ts := httptest.NewServer(m.Handler())
+	defer ts.Close()
+
+	waitFor(t, 10*time.Second, "a second session past its first ROSpec", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(specs) == 2 && readerStatus(m, "r0").Cycles >= 4
+	})
+	mu.Lock()
+	want := sent
+	mu.Unlock()
+	if want != 7 {
+		t.Fatalf("the scripted reader sent %d strays, want 7", want)
+	}
+	if rs := readerStatus(m, "r0"); rs.DiscardedReports != uint64(want) || rs.Reconnects != 1 {
+		t.Fatalf("reader status %+v, want %d discarded reports over 2 sessions", rs, want)
+	}
+	if got := scrapeMetrics(t, ts.URL+"/metrics")[`tagwatch_fleet_reader_discarded_reports_total{reader="r0"}`]; got != int64(want) {
+		t.Fatalf("discarded reports metric = %d, the reader sent %d strays", got, want)
 	}
 }

@@ -45,9 +45,9 @@ type TagState struct {
 	IRR    float64 `json:"irr_hz"`
 	// Readers counts lifetime reads per reader; Handoffs counts
 	// reader-to-reader transitions, with the most recent trail kept.
-	Readers     map[string]uint64 `json:"readers"`
-	Handoffs    uint64            `json:"handoffs"`
-	Transitions []Handoff         `json:"transitions,omitempty"`
+	Readers     ReaderCounts `json:"readers"`
+	Handoffs    uint64       `json:"handoffs"`
+	Transitions []Handoff    `json:"transitions,omitempty"`
 }
 
 type tagEntry struct {
@@ -157,10 +157,7 @@ func (g *Registry) Observe(reader string, r core.Reading, at time.Time) (Handoff
 		if g.maxPerShard > 0 && len(sh.tags) >= g.maxPerShard {
 			g.evictStalestLocked(sh)
 		}
-		e = &tagEntry{code: r.EPC, state: TagState{
-			EPC:     r.EPC.String(),
-			Readers: make(map[string]uint64, 2),
-		}}
+		e = &tagEntry{code: r.EPC, state: TagState{EPC: r.EPC.String()}}
 		sh.tags[r.EPC] = e
 	} else if e.state.Reader != reader {
 		moved = true
@@ -177,7 +174,7 @@ func (g *Registry) Observe(reader string, r core.Reading, at time.Time) (Handoff
 	st.LastSeen = at
 	st.DeviceTime = r.Time
 	st.Reads++
-	st.Readers[reader]++
+	st.Readers.inc(reader)
 	sh.dirty[r.EPC] = true
 	if g.onTag != nil {
 		g.onTag(copyState(st))
@@ -344,9 +341,6 @@ func (g *Registry) Restore(st TagState) error {
 		return fmt.Errorf("fleet: restore tag %q: %w", st.EPC, err)
 	}
 	cp := copyState(&st)
-	if cp.Readers == nil {
-		cp.Readers = make(map[string]uint64, 1)
-	}
 	sh := g.shard(code)
 	sh.mu.Lock()
 	sh.tags[code] = &tagEntry{code: code, state: cp}
@@ -379,14 +373,12 @@ func (g *Registry) GuardStats() (evicted, quarantined uint64, qs guard.Quarantin
 	return g.evicted.Load(), g.quarantined.Load(), qs
 }
 
-// copyState deep-copies the mutable maps/slices so callers can hold the
-// result without racing the registry.
+// copyState deep-copies the mutable slices so callers can hold the
+// result without racing the registry. Readers is never nil in a copy,
+// so it encodes as an object even before the first read.
 func copyState(st *TagState) TagState {
 	out := *st
-	out.Readers = make(map[string]uint64, len(st.Readers))
-	for k, v := range st.Readers {
-		out.Readers[k] = v
-	}
+	out.Readers = append(make(ReaderCounts, 0, len(st.Readers)), st.Readers...)
 	out.Transitions = append([]Handoff(nil), st.Transitions...)
 	return out
 }

@@ -43,7 +43,7 @@ func TestRegistryMergeAndHandoff(t *testing.T) {
 	if st.Reader != "r1" || st.Reads != 3 || st.Handoffs != 1 {
 		t.Fatalf("state: %+v", st)
 	}
-	if st.Readers["r0"] != 2 || st.Readers["r1"] != 1 {
+	if st.Readers.Get("r0") != 2 || st.Readers.Get("r1") != 1 {
 		t.Fatalf("per-reader counts: %+v", st.Readers)
 	}
 	if len(st.Transitions) != 1 || st.Transitions[0].From != "r0" {

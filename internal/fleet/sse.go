@@ -159,9 +159,7 @@ func (es *EventStreamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 		case <-r.Context().Done():
 			return
 		case <-hb.C:
-			// A hole at the tail of a burst has no later publish to flush
-			// its announcement; surface it now so the client learns of the
-			// loss within one heartbeat instead of at the next event.
+			// Backstop for a gap the empty-queue flush below missed.
 			sub.FlushGap()
 			if !send(":keepalive dropped=%d gaps=%d\n\n", sub.Dropped(), sub.Gaps()) {
 				return
@@ -170,13 +168,17 @@ func (es *EventStreamer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 			if !ok {
 				return
 			}
-			if ev.Seq <= delivered {
-				continue // replay overlap
+			if ev.Seq > delivered { // else replay overlap
+				if !es.sendEvent(send, identity, ev) {
+					return
+				}
+				delivered = ev.Seq
 			}
-			if !es.sendEvent(send, identity, ev) {
-				return
+			// A hole at the tail of a burst has no later publish to
+			// announce it: once the queue is empty, deliver it now.
+			if len(sub.C()) == 0 {
+				sub.FlushGap()
 			}
-			delivered = ev.Seq
 		}
 	}
 }

@@ -2,10 +2,12 @@ package fleet
 
 import (
 	"bufio"
+	"context"
 	"encoding/json"
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -209,4 +211,85 @@ func TestSSEResumeMatrix(t *testing.T) {
 			}
 		}
 	})
+}
+
+// gatedWriter is a streaming ResponseWriter whose next write can be
+// held: hold arms it, and that write signals entered and waits until
+// the returned release func runs.
+type gatedWriter struct {
+	mu      sync.Mutex
+	header  http.Header
+	body    strings.Builder
+	gate    chan struct{}
+	entered chan struct{}
+}
+
+func (w *gatedWriter) Header() http.Header { return w.header }
+func (w *gatedWriter) WriteHeader(int)     {}
+func (w *gatedWriter) Flush()              {}
+
+func (w *gatedWriter) Write(p []byte) (int, error) {
+	w.mu.Lock()
+	gate := w.gate
+	w.gate = nil
+	w.mu.Unlock()
+	if gate != nil {
+		w.entered <- struct{}{}
+		<-gate
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.WriteString(string(p))
+}
+
+func (w *gatedWriter) hold() (release func()) {
+	gate := make(chan struct{})
+	w.mu.Lock()
+	w.gate = gate
+	w.mu.Unlock()
+	return func() { close(gate) }
+}
+
+func (w *gatedWriter) text() string {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.body.String()
+}
+
+// TestSSEAnnouncesTailGapAtOnce: when a burst overflows a client's
+// queue and nothing follows it, the gap frame goes out as soon as the
+// client has taken the events before the hole, not at the next
+// heartbeat.
+func TestSSEAnnouncesTailGapAtOnce(t *testing.T) {
+	bus := NewBus()
+	es := &EventStreamer{
+		Bus: bus, Snapshot: func() []TagState { return nil },
+		WriteTimeout: time.Second, Heartbeat: time.Hour, Buffer: 1,
+	}
+	w := &gatedWriter{header: http.Header{}, entered: make(chan struct{})}
+	ctx, cancel := context.WithCancel(context.Background())
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		es.ServeHTTP(w, httptest.NewRequest("GET", "/api/events", nil).WithContext(ctx))
+	}()
+	defer func() {
+		cancel()
+		<-done
+	}()
+	waitFor(t, 5*time.Second, "the reset frame", func() bool { return strings.Contains(w.text(), "event: reset") })
+
+	// Event 1 wedges the writer; 2 fills the one-slot queue; 3 and 4
+	// are shed, and nothing is published after them.
+	release := w.hold()
+	bus.Publish(Event{Type: EventCycle, Reader: "r0"})
+	<-w.entered
+	for i := 0; i < 3; i++ {
+		bus.Publish(Event{Type: EventCycle, Reader: "r0"})
+	}
+	release()
+	waitFor(t, 5*time.Second, "the tail gap frame", func() bool { return strings.Contains(w.text(), "event: gap") })
+	if !strings.Contains(w.text(), `"gap_from":3,"gap_to":4`) {
+		t.Fatalf("gap frame does not name events 3-4:\n%s", w.text())
+	}
 }

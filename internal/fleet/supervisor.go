@@ -58,6 +58,9 @@ type ReaderStatus struct {
 	// degraded operation even while the session nominally stays up.
 	CycleErrors int    `json:"cycle_errors,omitempty"`
 	LastError   string `json:"last_error,omitempty"`
+	// DiscardedReports counts tag reports, over every session, that
+	// named another ROSpec than the one running and were dropped.
+	DiscardedReports uint64 `json:"discarded_reports,omitempty"`
 	// Tripped means the supervisor spent its panic-restart budget and was
 	// severed from the fleet; PanicRestarts counts how many panic
 	// restarts are inside the current budget window.
@@ -98,6 +101,10 @@ type supervisor struct {
 	cycles      int
 	cycleErrors int
 	tripped     bool
+	// discarded sums the finished sessions' discarded reports; dev is
+	// the live session's device, nil between sessions.
+	discarded uint64
+	dev       *core.LLRPDevice
 
 	readings atomic.Uint64
 }
@@ -125,7 +132,11 @@ func (s *supervisor) status() ReaderStatus {
 		ConsecutiveFailures: s.consecFails,
 		Cycles:              s.cycles,
 		CycleErrors:         s.cycleErrors,
+		DiscardedReports:    s.discarded,
 		Readings:            s.readings.Load(),
+	}
+	if s.dev != nil {
+		st.DiscardedReports += s.dev.Discarded()
 	}
 	if s.sessions > 1 {
 		st.Reconnects = s.sessions - 1
@@ -266,7 +277,17 @@ func (s *supervisor) serve(ctx context.Context, conn *llrp.Conn) error {
 		}
 	}
 
-	tw := core.New(s.cfg.Tagwatch, core.NewLLRPDevice(conn))
+	dev := core.NewLLRPDevice(conn)
+	s.mu.Lock()
+	s.dev = dev
+	s.mu.Unlock()
+	defer func() {
+		s.mu.Lock()
+		s.discarded += dev.Discarded()
+		s.dev = nil
+		s.mu.Unlock()
+	}()
+	tw := core.New(s.cfg.Tagwatch, dev)
 	tw.Subscribe(func(r core.Reading) {
 		s.readings.Add(1)
 		if ho, moved := s.reg.Observe(s.name, r, time.Now()); moved {

@@ -384,7 +384,11 @@ func decodeC1G2Filter(body []byte) (C1G2Filter, error) {
 			}
 			f.Mask = m
 		case ParamC1G2TagInventoryStateUnawareFilterAction:
-			f.UnawareAction = h.body[0]
+			pr := NewReader(h.body)
+			f.UnawareAction = pr.U8()
+			if err := pr.Err(); err != nil {
+				return f, err
+			}
 		}
 	}
 	return f, r.Err()
