@@ -65,9 +65,9 @@ soak:
 	TAGWATCH_SOAK=full GOMEMLIMIT=512MiB go test -race -count=1 -run TestSoakFloodSurvival -v ./internal/fleet/
 
 # Short fuzz bursts on the wire-facing decoders, the disk decoders of
-# the checkpoint protocol, the per-reader count JSON and the -chaos flag
-# parser, mirroring CI. Go
-# allows one -fuzz target per invocation.
+# the checkpoint protocol, the per-reader count JSON, the -chaos flag
+# parser and the middleware's config file, mirroring CI. Go allows one
+# -fuzz target per invocation.
 fuzz-smoke:
 	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -run '^$$' ./internal/llrp/
 	go test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/epc/
@@ -78,6 +78,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzParseJournal -fuzztime=10s -run '^$$' ./internal/statestore/
 	go test -fuzz=FuzzRestoreImage -fuzztime=10s -run '^$$' ./internal/core/
 	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/core/
+	go test -fuzz=FuzzApplyFileConfig -fuzztime=10s -run '^$$' ./internal/core/
 	go test -fuzz=FuzzRestoreImage -fuzztime=10s -run '^$$' ./internal/fleet/
 	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/fleet/
 	go test -fuzz=FuzzReaderCounts -fuzztime=10s -run '^$$' ./internal/fleet/

@@ -207,8 +207,10 @@ func BenchmarkAblationPerLinkStacks(b *testing.B) {
 		r := reader.New(rcfg, scn)
 		det := motion.NewPhaseMoG(motion.Config{IgnoreChannel: ignoreChannel})
 		var fp, n int
+		var reads []reader.TagRead
 		for r.Now() < 900*time.Second {
-			reads, _ := r.RunRound(reader.RoundOpts{Antenna: 1})
+			reads = reads[:0]
+			r.RunRound(reader.RoundOpts{Antenna: 1}, func(rd reader.TagRead) { reads = append(reads, rd) })
 			r.Advance(time.Second)
 			for _, rd := range reads {
 				res := det.Observe(rd.EPC, rd.Antenna, rd.Channel, rd.PhaseRad, rd.Time)

@@ -20,6 +20,11 @@ import (
 	"tagwatch/internal/experiments"
 )
 
+// both prints two results, one after the other.
+type both [2]fmt.Stringer
+
+func (b both) String() string { return b[0].String() + "\n" + b[1].String() }
+
 func main() {
 	var (
 		fig  = flag.Int("fig", 0, "figure number to run (0 with -all runs everything)")
@@ -53,7 +58,12 @@ func main() {
 		case 17:
 			return experiments.Fig17(opt)
 		case 18:
-			return experiments.Fig18(opt)
+			paper, err := experiments.Fig18(opt)
+			if err != nil {
+				return nil, err
+			}
+			fused, err := experiments.Fig18Fused(opt)
+			return both{paper, fused}, err
 		default:
 			return nil, fmt.Errorf("unknown figure %d", n)
 		}

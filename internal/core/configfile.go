@@ -7,6 +7,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"time"
 
@@ -69,8 +70,12 @@ func ConfigFlags(fs *flag.FlagSet) func() (Config, error) {
 	}
 }
 
-// applyFileConfig parses raw JSON over base. A negative value or data
-// after the JSON object is an error, not a silent default.
+// maxMS is the largest millisecond count a time.Duration holds.
+const maxMS = math.MaxInt64 / int64(time.Millisecond)
+
+// applyFileConfig parses raw JSON over base. A negative value, a
+// millisecond count too large for a time.Duration, or data after the
+// JSON object is an error, not a silent default.
 func applyFileConfig(base Config, raw []byte) (Config, error) {
 	var fc FileConfig
 	dec := json.NewDecoder(bytes.NewReader(raw))
@@ -99,6 +104,9 @@ func applyFileConfig(base Config, raw []byte) (Config, error) {
 	} {
 		if f.ms < 0 {
 			return base, fmt.Errorf("core: %s %d is negative", f.name, f.ms)
+		}
+		if int64(f.ms) > maxMS {
+			return base, fmt.Errorf("core: %s %d overflows a duration (at most %d ms)", f.name, f.ms, maxMS)
 		}
 		if f.ms > 0 {
 			*f.dst = time.Duration(f.ms) * time.Millisecond

@@ -75,17 +75,20 @@ func TestLoadConfigFileErrors(t *testing.T) {
 		t.Fatal("missing file must error")
 	}
 	cases := map[string]string{
-		"bad json":         `{not json`,
-		"bad epc":          `{"pinned_epcs": ["zz"]}`,
-		"bad cutoff":       `{"mobile_cutoff": 1.5}`,
-		"unknown field":    `{"phase_two_dwell": 5}`,
-		"negative dwell":   `{"phase2_dwell_ms": -5, "sticky_ms": 7000}`,
-		"negative sticky":  `{"sticky_ms": -1}`,
-		"negative depart":  `{"depart_after_ms": -60000}`,
-		"negative cutoff":  `{"mobile_cutoff": -0.1}`,
-		"trailing garbage": `{"phase2_dwell_ms": 2000} garbage`,
-		"second object":    `{"phase2_dwell_ms": 2000} {}`,
-		"stray brace":      `{"phase2_dwell_ms": 2000}}`,
+		"bad json":           `{not json`,
+		"bad epc":            `{"pinned_epcs": ["zz"]}`,
+		"bad cutoff":         `{"mobile_cutoff": 1.5}`,
+		"unknown field":      `{"phase_two_dwell": 5}`,
+		"negative dwell":     `{"phase2_dwell_ms": -5, "sticky_ms": 7000}`,
+		"negative sticky":    `{"sticky_ms": -1}`,
+		"negative depart":    `{"depart_after_ms": -60000}`,
+		"negative cutoff":    `{"mobile_cutoff": -0.1}`,
+		"overflowing dwell":  `{"phase2_dwell_ms": 9300000000000}`,
+		"overflowing sticky": `{"sticky_ms": 18446744073709}`,
+		"overflowing depart": `{"depart_after_ms": 9223372036854775807}`,
+		"trailing garbage":   `{"phase2_dwell_ms": 2000} garbage`,
+		"second object":      `{"phase2_dwell_ms": 2000} {}`,
+		"stray brace":        `{"phase2_dwell_ms": 2000}}`,
 	}
 	for name, content := range cases {
 		path := writeConfig(t, content)

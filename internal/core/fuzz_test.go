@@ -2,8 +2,10 @@ package core
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"testing"
+	"time"
 )
 
 // fuzzEngine returns a middleware restored from the golden snapshot and
@@ -74,5 +76,52 @@ func FuzzApplyRecord(f *testing.F) {
 	f.Add([]byte(`{"type":"forget","epc":""}`))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkDecode(t, golden, func(tw *Tagwatch) error { return tw.ApplyRecord(data) })
+	})
+}
+
+// FuzzApplyFileConfig feeds arbitrary configuration files to the
+// decoder. An accepted file sets every duration it names to exactly its
+// milliseconds, and keeps every other one at its default: no value wraps
+// negative or to another length.
+func FuzzApplyFileConfig(f *testing.F) {
+	f.Add([]byte(`{"phase2_dwell_ms": 2000, "sticky_ms": 7000, "depart_after_ms": 60000, "mobile_cutoff": 0.3}`))
+	f.Add([]byte(`{"pinned_epcs": ["30f4ab12cd0045e100000001"], "naive_schedule": true}`))
+	f.Add([]byte(`{"phase2_dwell_ms": 9223372036854}`))
+	f.Add([]byte(`{"phase2_dwell_ms": 9300000000000}`))
+	f.Add([]byte(`{"sticky_ms": 18446744073709}`))
+	f.Add([]byte(`{"depart_after_ms": 9223372036854775807}`))
+	def := DefaultConfig()
+	f.Fuzz(func(t *testing.T, data []byte) {
+		cfg, err := applyFileConfig(DefaultConfig(), data)
+		if err != nil {
+			return
+		}
+		var fc FileConfig
+		if err := json.Unmarshal(data, &fc); err != nil {
+			t.Fatalf("accepted a file encoding/json rejects: %v", err)
+		}
+		for _, d := range []struct {
+			name     string
+			ms       int
+			got, def time.Duration
+		}{
+			{"phase2_dwell_ms", fc.PhaseIIDwellMS, cfg.PhaseIIDwell, def.PhaseIIDwell},
+			{"sticky_ms", fc.StickyMS, cfg.StickyFor, def.StickyFor},
+			{"depart_after_ms", fc.DepartAfterMS, cfg.DepartAfter, def.DepartAfter},
+		} {
+			if d.ms == 0 {
+				if d.got != d.def {
+					t.Fatalf("%s absent gave %v, want the default %v", d.name, d.got, d.def)
+				}
+				continue
+			}
+			// Compared by division, so a product that wrapped cannot pass.
+			if d.got < 0 || d.got%time.Millisecond != 0 || int(d.got/time.Millisecond) != d.ms {
+				t.Fatalf("%s %d gave %v, want %d ms", d.name, d.ms, d.got, d.ms)
+			}
+		}
+		if cfg.MobileCutoff <= 0 || cfg.MobileCutoff > 1 {
+			t.Fatalf("accepted mobile cutoff %v", cfg.MobileCutoff)
+		}
 	})
 }

@@ -18,6 +18,9 @@ import (
 // client). Each ReadAll/ReadSelective call compiles to one ROSpec,
 // executes it, and emits the report stream one RO_ACCESS_REPORT at a
 // time until the ROSpec ends and its DELETE_ROSPEC has been answered.
+// Before its first selective ROSpec, a device asks the reader once for
+// its Select filter limit; a session that only reads everything never
+// asks.
 type LLRPDevice struct {
 	// Conn is an established LLRP connection.
 	Conn *llrp.Conn
@@ -26,10 +29,12 @@ type LLRPDevice struct {
 	// "dynamically depending on the total number of tags": over the wire
 	// a duration trigger bounds it, resized after each pass (ReadAll).
 	phaseIDwell time.Duration
-	nextID      uint32
-	base        uint64 // UTC µs of the first report; maps wire time to Duration
-	latest      time.Duration
-	discarded   atomic.Uint64
+	// maxFilters is the reader's MaxSelectFiltersPerQuery, 0 until asked.
+	maxFilters int
+	nextID     uint32
+	base       uint64 // UTC µs of the first report; maps wire time to Duration
+	latest     time.Duration
+	discarded  atomic.Uint64
 }
 
 // The ROSpec parameters every LLRPDevice uses.
@@ -37,7 +42,8 @@ const (
 	// firstPhaseIDwell bounds the first Phase I pass, before any
 	// population is known.
 	firstPhaseIDwell = 300 * time.Millisecond
-	// maskSlice is the per-AISpec duration for each bitmask in Phase II.
+	// maskSlice is the per-AISpec duration for each union of bitmasks in
+	// Phase II.
 	maskSlice = 100 * time.Millisecond
 	// idleGap is the wall-clock silence after which the report stream of
 	// a finished ROSpec is considered drained, for readers that send no
@@ -81,18 +87,32 @@ func (d *LLRPDevice) ReadAll(emit func([]Reading)) error {
 	return err
 }
 
-// ReadSelective implements Device.
+// ReadSelective implements Device. A failure to learn the reader's
+// filter limit fails the call like any other control operation.
 func (d *LLRPDevice) ReadSelective(masks []schedule.Bitmask, dwell time.Duration, emit func([]Reading)) error {
 	if len(masks) == 0 || dwell <= 0 {
 		return nil
 	}
-	return d.runSpec(d.buildSpec(masks, maskSlice, dwell), emit)
+	if d.maxFilters == 0 {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+		caps, err := d.Conn.GetCapabilities(ctx)
+		cancel()
+		if err != nil {
+			return fmt.Errorf("get reader capabilities: %w", err)
+		}
+		d.maxFilters = max(1, int(caps.MaxSelectFiltersPerQuery)) // absent or 0 means 1
+	}
+	return d.runSpec(d.buildSpec(unions(masks, d.maxFilters), maskSlice, dwell), emit)
 }
 
-// buildSpec compiles bitmasks into an ROSpec: one AISpec per bitmask
-// (§6's "we adopt the second method by default"), cycling until the
-// ROSpec duration elapses.
-func (d *LLRPDevice) buildSpec(masks []schedule.Bitmask, slice, total time.Duration) llrp.ROSpec {
+// buildSpec compiles groups of bitmasks into an ROSpec, cycling until
+// the ROSpec duration elapses. Each group becomes one AISpec, §6's
+// "second method", whose inventory carries one C1G2Filter per mask with
+// the actions [Select/Unselect, Select/DoNothing, …]: the first filter
+// selects its matches and unselects every other tag, each further one
+// selects its own matches too, so the round reads the union. No groups
+// build the read-everything spec.
+func (d *LLRPDevice) buildSpec(groups [][]schedule.Bitmask, slice, total time.Duration) llrp.ROSpec {
 	d.nextID++
 	spec := llrp.ROSpec{
 		ID: d.nextID,
@@ -116,18 +136,24 @@ func (d *LLRPDevice) buildSpec(masks []schedule.Bitmask, slice, total time.Durat
 			}},
 		}
 	}
-	if len(masks) == 0 {
+	if len(groups) == 0 {
 		spec.AISpecs = []llrp.AISpec{mkAISpec(nil)}
 		return spec
 	}
-	for _, m := range masks {
-		spec.AISpecs = append(spec.AISpecs, mkAISpec([]llrp.C1G2Filter{{
-			Mask: llrp.C1G2TagInventoryMask{
-				MemBank: epc.BankEPC,
-				Pointer: uint16(epc.EPCWordOffset + m.Pointer),
-				Mask:    m.Mask,
-			},
-		}}))
+	for _, g := range groups {
+		filters := make([]llrp.C1G2Filter, len(g))
+		for i, m := range g {
+			filters[i] = llrp.C1G2Filter{
+				Mask: llrp.C1G2TagInventoryMask{
+					MemBank: epc.BankEPC,
+					Pointer: uint16(epc.EPCWordOffset + m.Pointer),
+					Mask:    m.Mask,
+				},
+				UnawareAction: llrp.ActionSelectDoNothing,
+			}
+		}
+		filters[0].UnawareAction = llrp.ActionSelectUnselect
+		spec.AISpecs = append(spec.AISpecs, mkAISpec(filters))
 	}
 	return spec
 }

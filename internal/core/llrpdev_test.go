@@ -4,7 +4,9 @@ import (
 	"context"
 	"encoding/binary"
 	"math/rand"
+	"reflect"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -18,9 +20,9 @@ import (
 	"tagwatch/internal/schedule"
 )
 
-// startLLRPRig spins up a reader emulator over TCP plus a connected
-// LLRPDevice.
-func startLLRPRig(t *testing.T, seed int64, n int) (*LLRPDevice, *llrp.Server, []epc.EPC) {
+// gridScene is n stationary tags on a grid under one antenna; the same
+// seed builds the same scene.
+func gridScene(t *testing.T, seed int64, n int) (*scene.Scene, []epc.EPC) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	scn := scene.New(rf.NewChannel(rf.DefaultParams(), rng), rng)
@@ -32,6 +34,14 @@ func startLLRPRig(t *testing.T, seed int64, n int) (*LLRPDevice, *llrp.Server, [
 	for i, c := range codes {
 		scn.AddTag(c, scene.Stationary{P: rf.Pt(0.5+float64(i%8)*0.3, 0.5+float64(i/8)*0.3, 0)})
 	}
+	return scn, codes
+}
+
+// startLLRPRig spins up a reader emulator over TCP plus a connected
+// LLRPDevice.
+func startLLRPRig(t *testing.T, seed int64, n int) (*LLRPDevice, *llrp.Server, []epc.EPC) {
+	t.Helper()
+	scn, codes := gridScene(t, seed, n)
 	eng := reader.New(reader.DefaultConfig(), scn)
 	srv := llrp.NewServer(eng, llrp.ServerConfig{})
 	addr, err := srv.Listen("127.0.0.1:0")
@@ -146,6 +156,60 @@ func TestLLRPDeviceEmitsPerReport(t *testing.T) {
 	srv.Close() // joins the ROSpec runner, so its engine counters are settled
 	if st := srv.Engine().Stats(); st.Reads != len(reads) {
 		t.Fatalf("reader read %d tags in %d rounds, the batches carry %d readings", st.Reads, st.Rounds, len(reads))
+	}
+}
+
+// TestUnionRoundsAcrossDevices: one plan at the default filter limit
+// of 2, run over the simulator in-process and over LLRP to the emulator.
+// The masks cover one tag each, so a group's masks have disjoint covers:
+// an intersection would read nothing, and a round that reads more than
+// one tag is a union. On both devices every read tag is covered by a
+// mask of the plan, every covered tag is read, and the reader reads more
+// tags than it runs rounds.
+func TestUnionRoundsAcrossDevices(t *testing.T) {
+	const seed, n = 5, 12
+	scn, codes := gridScene(t, seed, n)
+	sim := NewSimDevice(reader.New(reader.DefaultConfig(), scn))
+	wire, srv, _ := startLLRPRig(t, seed, n)
+	masks := []schedule.Bitmask{{Mask: codes[1]}, {Mask: codes[4]}, {Mask: codes[7]}}
+	for _, d := range []struct {
+		name  string
+		dev   Device
+		stats func() reader.Stats
+	}{
+		{"sim", sim, sim.R.Stats},
+		// Closing the server joins its ROSpec runner, settling the counters.
+		{"llrp", wire, func() reader.Stats { srv.Close(); return srv.Engine().Stats() }},
+	} {
+		seen := map[epc.EPC]int{}
+		err := d.dev.ReadSelective(masks, 600*time.Millisecond, func(batch []Reading) {
+			for _, r := range batch {
+				seen[r.EPC]++
+			}
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", d.name, err)
+		}
+		for code := range seen {
+			covered := false
+			for _, m := range masks {
+				covered = covered || m.Covers(code)
+			}
+			if !covered {
+				t.Fatalf("%s: read %s, which no mask covers", d.name, code)
+			}
+		}
+		for _, m := range masks {
+			if seen[m.Mask] == 0 {
+				t.Fatalf("%s: %s never read during the dwell (reads %v)", d.name, m, seen)
+			}
+		}
+		if st := d.stats(); st.Reads <= st.Rounds {
+			t.Fatalf("%s: %d reads in %d rounds; a union round reads two tags", d.name, st.Reads, st.Rounds)
+		}
+	}
+	if wire.maxFilters != 2 {
+		t.Fatalf("LLRPDevice runs %d filters per round, the emulator takes 2", wire.maxFilters)
 	}
 }
 
@@ -339,5 +403,96 @@ func TestLLRPDeviceFailedDeleteIsAnError(t *testing.T) {
 	}
 	if len(reads) != 1 {
 		t.Fatalf("emitted %d readings before the failed delete, want 1", len(reads))
+	}
+}
+
+// TestLLRPDeviceAsksFilterLimitOnce: a session that only reads everything
+// never sends GET_READER_CAPABILITIES; a selective one sends it once,
+// before its first ROSpec, and groups the masks by the limit it reports,
+// each AISpec's filters uniting their masks.
+func TestLLRPDeviceAsksFilterLimitOnce(t *testing.T) {
+	var asked atomic.Int32
+	var mu sync.Mutex
+	var specs []llrp.ROSpec
+	sc := script{
+		llrp.MsgGetReaderCapabilities: func(s *llrptest.Session, req llrp.Message, _ uint32) {
+			asked.Add(1)
+			caps := llrp.Capabilities{MaxSelectFiltersPerQuery: 3}
+			_ = s.Send(llrp.NewGetReaderCapabilitiesResponse(req.ID, llrp.LLRPStatus{}, caps))
+		},
+		llrp.MsgAddROSpec: func(s *llrptest.Session, req llrp.Message, _ uint32) {
+			spec, err := llrp.DecodeAddROSpec(req)
+			if err != nil {
+				t.Error(err)
+			}
+			mu.Lock()
+			specs = append(specs, spec)
+			mu.Unlock()
+			_ = s.Reply(req, llrp.StatusSuccess)
+		},
+		llrp.MsgStartROSpec: startThen(func(s *llrptest.Session, id uint32) { _ = s.Ended(id) }),
+	}
+	dev := scriptedDevice(t, sc)
+	for i := 0; i < 3; i++ {
+		if err := dev.ReadAll(func([]Reading) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := asked.Load(); n != 0 {
+		t.Fatalf("a read-everything session asked for capabilities %d times", n)
+	}
+	var masks []schedule.Bitmask
+	for i := 0; i < 5; i++ {
+		masks = append(masks, schedule.Bitmask{Mask: tagReport(i, 0).EPC})
+	}
+	for i := 0; i < 2; i++ {
+		if err := dev.ReadSelective(masks, 200*time.Millisecond, func([]Reading) {}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if n := asked.Load(); n != 1 {
+		t.Fatalf("two selective ROSpecs asked for capabilities %d times, want once", n)
+	}
+	mu.Lock()
+	last := specs[len(specs)-1]
+	mu.Unlock()
+	var got [][]uint8
+	for _, ai := range last.AISpecs {
+		var actions []uint8
+		for _, f := range ai.Inventories[0].Commands[0].Filters {
+			actions = append(actions, f.UnawareAction)
+		}
+		got = append(got, actions)
+	}
+	want := [][]uint8{
+		{llrp.ActionSelectUnselect, llrp.ActionSelectDoNothing, llrp.ActionSelectDoNothing},
+		{llrp.ActionSelectUnselect, llrp.ActionSelectDoNothing},
+	}
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("five masks at a limit of 3 built AISpecs with actions %v, want %v", got, want)
+	}
+}
+
+// TestLLRPDeviceFilterLimitFailure: a reader that refuses
+// GET_READER_CAPABILITIES fails the selective read before any ROSpec is
+// installed.
+func TestLLRPDeviceFilterLimitFailure(t *testing.T) {
+	var added atomic.Int32
+	dev := scriptedDevice(t, script{
+		llrp.MsgGetReaderCapabilities: func(s *llrptest.Session, req llrp.Message, _ uint32) {
+			_ = s.Reply(req, llrp.StatusDeviceError)
+		},
+		llrp.MsgAddROSpec: func(s *llrptest.Session, req llrp.Message, _ uint32) {
+			added.Add(1)
+			_ = s.Reply(req, llrp.StatusSuccess)
+		},
+	})
+	masks := []schedule.Bitmask{{Mask: tagReport(0, 0).EPC}}
+	err := dev.ReadSelective(masks, 200*time.Millisecond, func([]Reading) {})
+	if err == nil || !strings.Contains(err.Error(), "capabilities") {
+		t.Fatalf("ReadSelective = %v, want the capabilities error", err)
+	}
+	if added.Load() != 0 {
+		t.Fatal("an ROSpec was installed without a filter limit")
 	}
 }

@@ -18,7 +18,7 @@ func emitOnce(emit func([]Reading), reads []Reading, err error) error {
 }
 
 // heldDevice is a SimDevice that delivers the old way: it holds every
-// round's batch until the read call returns, then emits them as one.
+// batch until the read call returns, then emits them as one.
 type heldDevice struct{ sim *SimDevice }
 
 func (h heldDevice) Now() time.Duration { return h.sim.Now() }
@@ -52,7 +52,7 @@ func differingFields(a, b CycleReport) []string {
 }
 
 // TestStreamingMatchesHeldDelivery: streaming changes when subscribers
-// see a reading, nothing else. An instance fed round by round and one fed
+// see a reading, nothing else. An instance fed read by read and one fed
 // at phase end over identically seeded simulators must agree on every
 // cycle report and on the exact sequence of delivered readings.
 func TestStreamingMatchesHeldDelivery(t *testing.T) {
@@ -113,6 +113,56 @@ func TestPhaseIIReadingsReachSubscribersFresh(t *testing.T) {
 		} else {
 			selective++
 		}
+	}
+	if selective == 0 || fallbacks == 0 {
+		t.Fatalf("%d selective and %d fallback cycles; want both delivery paths", selective, fallbacks)
+	}
+}
+
+// TestReadingsDeliveredInReports: in-process, subscribers get readings
+// in reports of at most reportEvery reads, in selective and fallback
+// cycles alike, and a full report arrives while the device clock still
+// stands at its last read's singulation, so a reading waits for at most
+// reportEvery-1 further reads or its round's end, however long the round.
+func TestReadingsDeliveredInReports(t *testing.T) {
+	tw, dev, _, _ := paperRig(t, 9, 60, 4, 0)
+	var (
+		report []Reading // the readings delivered at one device clock
+		clock  time.Duration
+		full   int
+	)
+	check := func() {
+		switch n := len(report); {
+		case n > reportEvery:
+			t.Fatalf("a report of %d readings, want at most %d", n, reportEvery)
+		case n == reportEvery:
+			full++
+			if last := report[n-1].Time; clock != last {
+				t.Fatalf("a full report reached subscribers at %v, after its last singulation at %v", clock, last)
+			}
+		}
+	}
+	tw.Subscribe(func(r Reading) {
+		if now := dev.Now(); now != clock {
+			check()
+			report, clock = report[:0], now
+		}
+		if r.Time > clock {
+			t.Fatalf("a reading of %v reached subscribers at %v", r.Time, clock)
+		}
+		report = append(report, r)
+	})
+	selective, fallbacks := 0, 0
+	for i := 0; i < 8; i++ {
+		if rep := tw.RunCycle(); rep.FellBack {
+			fallbacks++
+		} else {
+			selective++
+		}
+	}
+	check()
+	if full == 0 {
+		t.Fatal("no report was full; want rounds longer than one report")
 	}
 	if selective == 0 || fallbacks == 0 {
 		t.Fatalf("%d selective and %d fallback cycles; want both delivery paths", selective, fallbacks)

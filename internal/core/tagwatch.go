@@ -79,8 +79,8 @@ type CycleReport struct {
 	// ScheduleCost is the wall-clock planning gap between the end of
 	// Phase I and the start of Phase II: target selection and bitmask
 	// search — the Fig. 17 metric. Motion assessment is not in it: each
-	// Phase I reading is assessed as its round is delivered, overlapping
-	// the read.
+	// Phase I reading is assessed as it is delivered, overlapping the
+	// read.
 	ScheduleCost time.Duration
 	// PhaseIDuration and PhaseIIDuration are in device-virtual time.
 	PhaseIDuration  time.Duration
@@ -170,9 +170,10 @@ func New(cfg Config, dev Device) *Tagwatch {
 
 // Subscribe registers a listener that receives every reading from both
 // phases — the upper-application delivery path of Fig. 5. Listeners run
-// on the cycle's goroutine while the phase streams: a reading arrives
-// when its round ends, not when its phase does, and the next batch waits
-// until the listeners return.
+// on the cycle's goroutine while the phase streams: a reading arrives as
+// the device hands it over (in-process, by the eighth read after it or
+// the end of its round; over LLRP, with its RO_ACCESS_REPORT), not when
+// its phase ends, and the next batch waits until the listeners return.
 func (tw *Tagwatch) Subscribe(fn func(Reading)) {
 	tw.listeners = append(tw.listeners, fn)
 }

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"tagwatch/internal/epc"
+	"tagwatch/internal/reader"
 	"tagwatch/internal/rf"
 	"tagwatch/internal/scene"
 )
@@ -31,6 +32,15 @@ func (o Options) pick(quick, full int) int {
 		return quick
 	}
 	return full
+}
+
+// readerConfig is reader.DefaultConfig with a Select filter limit of f:
+// Phase II runs each plan as union rounds of up to f masks. Figs. 15–18
+// use f = 1, §6's execution of one AISpec per bitmask.
+func readerConfig(f int) reader.Config {
+	cfg := reader.DefaultConfig()
+	cfg.MaxSelectFilters = f
+	return cfg
 }
 
 // table renders rows of columns with a header, right-aligned.

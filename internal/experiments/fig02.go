@@ -60,7 +60,7 @@ func Fig02(opt Options) (Fig02Result, error) {
 			r := reader.New(cfg, scn)
 			var total time.Duration
 			for i := 0; i < reps; i++ {
-				_, d := r.RunRound(reader.RoundOpts{Antenna: 1})
+				d := r.RunRound(reader.RoundOpts{Antenna: 1}, nil)
 				total += d
 			}
 			irr := float64(reps) * float64(time.Second) / float64(total)

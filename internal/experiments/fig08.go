@@ -54,11 +54,10 @@ func Fig08(opt Options) (Fig08Result, error) {
 	det := motion.NewPhaseMoG(motion.Config{})
 	dur := time.Duration(opt.pick(50, 120)) * time.Second
 	for r.Now() < dur {
-		reads, _ := r.RunRound(reader.RoundOpts{Antenna: 1})
-		for _, rd := range reads {
+		r.RunRound(reader.RoundOpts{Antenna: 1}, func(rd reader.TagRead) {
 			res.Phases = append(res.Phases, rd.PhaseRad)
 			det.Observe(rd.EPC, rd.Antenna, rd.Channel, rd.PhaseRad, rd.Time)
-		}
+		})
 	}
 	res.HistEdges, res.HistCounts = stats.Histogram(res.Phases, 0, 2*math.Pi, 48)
 	st := det.Stack(code, 1, 0)

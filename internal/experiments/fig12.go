@@ -116,9 +116,11 @@ func Fig12(opt Options) (Fig12Result, error) {
 
 	warm := dur / 3
 	const dutyPeriod = 4 * time.Second
+	var reads []reader.TagRead
 	for r.Now() < dur {
 		next := r.Now() + dutyPeriod
-		reads, _ := r.RunRound(reader.RoundOpts{Antenna: 1})
+		reads = reads[:0]
+		r.RunRound(reader.RoundOpts{Antenna: 1}, func(rd reader.TagRead) { reads = append(reads, rd) })
 		if gap := next - r.Now(); gap > 0 {
 			r.Advance(gap)
 		}

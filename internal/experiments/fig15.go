@@ -49,7 +49,7 @@ func Fig15(opt Options, targets int) (Fig15Result, error) {
 		if err != nil {
 			panic(err)
 		}
-		return core.NewSimDevice(reader.New(reader.DefaultConfig(), scn)), codes
+		return core.NewSimDevice(reader.New(readerConfig(1), scn)), codes
 	}
 
 	// Arm 1: reading all.

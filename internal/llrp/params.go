@@ -352,10 +352,25 @@ func decodeC1G2TagInventoryMask(body []byte) (C1G2TagInventoryMask, error) {
 // C1G2Filter is one LLRP filter — it compiles to one Gen2 Select command.
 type C1G2Filter struct {
 	Mask C1G2TagInventoryMask
-	// UnawareAction is the state-unaware filter action (0 = select
-	// matching / unselect non-matching), the only action Tagwatch needs.
+	// UnawareAction is the state-unaware filter action, 0–5 (the
+	// Action… constants): what the Select does to the SL flag of matching
+	// and of non-matching tags. A reader applies an inventory's filters in
+	// order, so the actions decide whether its masks intersect (0, then 2)
+	// or unite (0, then 1).
 	UnawareAction uint8
 }
+
+// The state-unaware filter actions, LLRP's names: the effect on matching
+// tags, then on non-matching ones. Select asserts SL, Unselect deasserts
+// it.
+const (
+	ActionSelectUnselect    uint8 = 0
+	ActionSelectDoNothing   uint8 = 1
+	ActionDoNothingUnselect uint8 = 2
+	ActionUnselectDoNothing uint8 = 3
+	ActionUnselectSelect    uint8 = 4
+	ActionDoNothingSelect   uint8 = 5
+)
 
 func (f C1G2Filter) encode(w *Writer) {
 	off := w.tlv(ParamC1G2Filter)

@@ -282,6 +282,9 @@ func (s *Server) handle(conn *serverConn, msg Message) bool {
 	switch msg.Type {
 	case MsgAddROSpec:
 		spec, err := DecodeAddROSpec(msg)
+		if err == nil {
+			err = checkFilters(spec, s.engine.Config().MaxSelectFilters)
+		}
 		status := ok
 		if err != nil {
 			status = LLRPStatus{Code: StatusParamError, Description: err.Error()}
@@ -376,7 +379,7 @@ func (s *Server) handle(conn *serverConn, msg Message) bool {
 			MaxAntennas:              uint16(len(s.engine.Scene().Antennas)),
 			ManufacturerPEN:          ImpinjPEN,
 			Model:                    420, // Speedway R420 stand-in
-			MaxSelectFiltersPerQuery: 8,
+			MaxSelectFiltersPerQuery: uint16(s.engine.Config().MaxSelectFilters),
 			SupportsPhaseReporting:   true,
 		}
 		conn.send(NewGetReaderCapabilitiesResponse(msg.ID, ok, caps))
@@ -499,10 +502,48 @@ func (s *Server) stopAll() {
 	}
 }
 
-// filterToSelect converts an LLRP C1G2Filter into the reader engine's
-// Select command.
+// unawareActions maps each LLRP state-unaware filter action to the Gen2
+// Select action on SL that does the same to matching and non-matching
+// tags.
+var unawareActions = [...]gen2.Action{
+	ActionSelectUnselect:    gen2.ActionAssertDeassert,
+	ActionSelectDoNothing:   gen2.ActionAssertNothing,
+	ActionDoNothingUnselect: gen2.ActionNothingDeassert,
+	ActionUnselectDoNothing: gen2.ActionDeassertNothing,
+	ActionUnselectSelect:    gen2.ActionDeassertAssert,
+	ActionDoNothingSelect:   gen2.ActionNothingAssert,
+}
+
+// checkFilters refuses an ROSpec the engine cannot run as written: a
+// filter action outside 0–5, or an AISpec with more filters than limit,
+// the filter limit the reader advertises. An AISpec's filters share one
+// inventory round, so they count together.
+func checkFilters(spec ROSpec, limit int) error {
+	for i, ai := range spec.AISpecs {
+		n := 0
+		for _, inv := range ai.Inventories {
+			for _, cmd := range inv.Commands {
+				for _, f := range cmd.Filters {
+					if int(f.UnawareAction) >= len(unawareActions) {
+						return fmt.Errorf("AISpec %d: filter action %d is not a state-unaware action (0-5)", i, f.UnawareAction)
+					}
+					n++
+				}
+			}
+		}
+		if n > limit {
+			return fmt.Errorf("AISpec %d carries %d filters; the reader takes at most %d per inventory", i, n, limit)
+		}
+	}
+	return nil
+}
+
+// filterToSelect converts an LLRP C1G2Filter, checked by checkFilters,
+// into the reader engine's Select command.
 func filterToSelect(f C1G2Filter) gen2.SelectCmd {
 	return gen2.SelectCmd{
+		Target:  gen2.TargetSL,
+		Action:  unawareActions[f.UnawareAction],
 		MemBank: f.Mask.MemBank,
 		Pointer: int(f.Mask.Pointer),
 		Mask:    f.Mask.Mask,
@@ -511,7 +552,9 @@ func filterToSelect(f C1G2Filter) gen2.SelectCmd {
 
 // runROSpec executes the ROSpec until its stop trigger fires or it is
 // stopped. AISpecs run in order and the list repeats (the LLRP execution
-// model); each round's reads stream out as one RO_ACCESS_REPORT.
+// model). Each round's reads stream out as one RO_ACCESS_REPORT, or,
+// when the ROReportSpec asks for a report every N tags, as one report
+// per N reads, sent (under TimeScale) when the Nth was singulated.
 func (s *Server) runROSpec(conn *serverConn, e *rospecEntry, stop, done chan struct{}) {
 	defer s.wg.Done()
 	// The runner is the sole closer of done, whether it exits on its own
@@ -551,6 +594,7 @@ func (s *Server) runROSpec(conn *serverConn, e *rospecEntry, stop, done chan str
 
 	var reportID uint32
 	var pending []TagReportData
+	var reads []reader.TagRead // one round's reads, in singulation order
 	batchN := 0
 	if spec.Report != nil && spec.Report.Trigger == ReportEveryN && spec.Report.N > 0 {
 		batchN = int(spec.Report.N)
@@ -565,6 +609,15 @@ func (s *Server) runROSpec(conn *serverConn, e *rospecEntry, stop, done chan str
 		return err == nil
 	}
 	defer flush()
+	// paced is the virtual time the wall clock has been held to under
+	// TimeScale; pace sleeps until it reaches t.
+	var paced time.Duration
+	pace := func(t time.Duration) {
+		if s.cfg.TimeScale > 0 && t > paced {
+			time.Sleep(time.Duration(float64(t-paced) * s.cfg.TimeScale))
+			paced = t
+		}
+	}
 	for {
 		if stopped() {
 			return
@@ -617,27 +670,35 @@ func (s *Server) runROSpec(conn *serverConn, e *rospecEntry, stop, done chan str
 						}
 					}
 					accessOps, accessFilter := s.accessOpsFor(spec.ID, ant)
+					// The round takes next to no wall time; its reports go out
+					// after the engine is released, each paced to the
+					// read that completes it.
 					s.engineMu.Lock()
-					reads, d := s.engine.RunRound(reader.RoundOpts{
+					start := s.engine.Now()
+					end := start + s.engine.RunRound(reader.RoundOpts{
 						Antenna:      int(ant),
 						Filters:      filters,
 						Budget:       budget,
 						Access:       accessOps,
 						AccessFilter: accessFilter,
-					})
+					}, func(rd reader.TagRead) { reads = append(reads, rd) })
 					s.engineMu.Unlock()
 					progressed = true
-					if len(reads) > 0 {
-						pending = append(pending, s.toReports(spec.ID, reads)...)
-						if batchN == 0 || len(pending) >= batchN {
+					paced = start
+					for _, rd := range reads {
+						pending = append(pending, s.toReport(spec.ID, rd))
+						if batchN > 0 && len(pending) == batchN {
+							pace(rd.Time)
 							if !flush() {
 								return
 							}
 						}
 					}
-					if s.cfg.TimeScale > 0 {
-						time.Sleep(time.Duration(float64(d) * s.cfg.TimeScale))
+					reads = reads[:0]
+					if batchN == 0 && !flush() {
+						return
 					}
+					pace(end)
 				}
 				if ai.StopTrigger.Type != AIStopDuration {
 					break // null trigger: one pass, then next AISpec
@@ -695,38 +756,33 @@ func (s *Server) accessOpsFor(rospecID uint32, antenna uint16) ([]reader.AccessO
 	return nil, nil
 }
 
-// toReports converts simulator reads into wire tag reports.
-func (s *Server) toReports(rospecID uint32, reads []reader.TagRead) []TagReportData {
-	out := make([]TagReportData, len(reads))
-	base := uint64(s.baseUTC.UnixMicro())
-	for i, rd := range reads {
-		tr := TagReportData{
-			EPC:          rd.EPC,
-			ROSpecID:     rospecID,
-			AntennaID:    uint16(rd.Antenna),
-			ChannelIndex: uint16(rd.Channel + 1), // LLRP channel indices are 1-based
-			FirstSeenUTC: base + uint64(rd.Time/time.Microsecond),
-			TagSeenCount: 1,
-		}
-		rssi := rd.RSSdBm
-		if rssi < -128 {
-			rssi = -128
-		}
-		if rssi > 127 {
-			rssi = 127
-		}
-		tr.PeakRSSIdBm = int8(rssi)
-		tr.SetPhaseRadians(rd.PhaseRad)
-		for _, a := range rd.Access {
-			res := OpResult{OpSpecID: a.OpSpecID, Write: a.Write}
-			if !a.OK {
-				res.Result = 1 // non-specific error
-			}
-			res.Data = a.Data
-			res.WordsWritten = uint16(a.WordsWritten)
-			tr.OpResults = append(tr.OpResults, res)
-		}
-		out[i] = tr
+// toReport converts a simulator read into a wire tag report.
+func (s *Server) toReport(rospecID uint32, rd reader.TagRead) TagReportData {
+	tr := TagReportData{
+		EPC:          rd.EPC,
+		ROSpecID:     rospecID,
+		AntennaID:    uint16(rd.Antenna),
+		ChannelIndex: uint16(rd.Channel + 1), // LLRP channel indices are 1-based
+		FirstSeenUTC: uint64(s.baseUTC.UnixMicro()) + uint64(rd.Time/time.Microsecond),
+		TagSeenCount: 1,
 	}
-	return out
+	rssi := rd.RSSdBm
+	if rssi < -128 {
+		rssi = -128
+	}
+	if rssi > 127 {
+		rssi = 127
+	}
+	tr.PeakRSSIdBm = int8(rssi)
+	tr.SetPhaseRadians(rd.PhaseRad)
+	for _, a := range rd.Access {
+		res := OpResult{OpSpecID: a.OpSpecID, Write: a.Write}
+		if !a.OK {
+			res.Result = 1 // non-specific error
+		}
+		res.Data = a.Data
+		res.WordsWritten = uint16(a.WordsWritten)
+		tr.OpResults = append(tr.OpResults, res)
+	}
+	return tr
 }

@@ -2,14 +2,17 @@ package llrp
 
 import (
 	"context"
+	"errors"
 	"math/rand"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"tagwatch/internal/epc"
+	"tagwatch/internal/gen2"
 	"tagwatch/internal/reader"
 	"tagwatch/internal/rf"
 	"tagwatch/internal/scene"
@@ -397,8 +400,9 @@ func TestROSpecEndEventDelivered(t *testing.T) {
 }
 
 func TestMultiFilterIntersectionOverTCP(t *testing.T) {
-	// Two filters in one inventory command intersect: only tags matching
-	// BOTH windows are read.
+	// Two filters in one inventory command, Select/Unselect then
+	// DoNothing/Unselect, intersect: only tags matching BOTH windows are
+	// read.
 	conn, srv, codes := startTestServer(t, 22, 12)
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
@@ -414,8 +418,8 @@ func TestMultiFilterIntersectionOverTCP(t *testing.T) {
 	}
 	spec := basicROSpec(7, 300)
 	spec.AISpecs[0].Inventories[0].Commands[0].Filters = []C1G2Filter{
-		{Mask: C1G2TagInventoryMask{MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset + 0, Mask: maskA}},
-		{Mask: C1G2TagInventoryMask{MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset + 40, Mask: maskB}},
+		{Mask: C1G2TagInventoryMask{MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset + 0, Mask: maskA}, UnawareAction: ActionSelectUnselect},
+		{Mask: C1G2TagInventoryMask{MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset + 40, Mask: maskB}, UnawareAction: ActionDoNothingUnselect},
 	}
 	if err := conn.AddROSpec(ctx, spec); err != nil {
 		t.Fatal(err)
@@ -432,6 +436,101 @@ func TestMultiFilterIntersectionOverTCP(t *testing.T) {
 		}
 	}
 	_ = srv
+}
+
+// TestUnawareActionsSteerSL pins what each LLRP state-unaware filter
+// action does to the SL flag of a matching and of a non-matching tag,
+// from either starting value.
+func TestUnawareActionsSteerSL(t *testing.T) {
+	hit := epc.MustParse("3a0000000000000000000001")
+	miss := epc.MustParse("e50000000000000000000001")
+	mask, err := hit.Slice(0, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	f := C1G2Filter{Mask: C1G2TagInventoryMask{MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset, Mask: mask}}
+	// SL after the filter, from SL deasserted and from SL asserted.
+	type after [2]bool
+	for _, tc := range []struct {
+		action      uint8
+		match, miss after
+	}{
+		{ActionSelectUnselect, after{true, true}, after{false, false}},
+		{ActionSelectDoNothing, after{true, true}, after{false, true}},
+		{ActionDoNothingUnselect, after{false, true}, after{false, false}},
+		{ActionUnselectDoNothing, after{false, false}, after{false, true}},
+		{ActionUnselectSelect, after{false, false}, after{true, true}},
+		{ActionDoNothingSelect, after{false, true}, after{true, true}},
+	} {
+		f.UnawareAction = tc.action
+		for _, c := range []struct {
+			code epc.EPC
+			want after
+		}{{hit, tc.match}, {miss, tc.miss}} {
+			for from, want := range c.want {
+				tag := gen2.NewTag(epc.NewMemory(c.code))
+				set := gen2.ActionDeassertNothing
+				if from == 1 {
+					set = gen2.ActionAssertNothing
+				}
+				tag.ApplySelect(gen2.SelectCmd{Target: gen2.TargetSL, Action: set, MemBank: epc.BankEPC})
+				tag.ApplySelect(filterToSelect(f))
+				if tag.SL() != want {
+					t.Errorf("action %d on %s from SL=%v: SL=%v, want %v", tc.action, c.code, from == 1, tag.SL(), want)
+				}
+			}
+		}
+	}
+}
+
+// TestAddROSpecRefusesUnrunnableFilters: an AISpec with more filters
+// than the advertised limit, or with an action above 5, is refused with
+// an error status and never installed.
+func TestAddROSpecRefusesUnrunnableFilters(t *testing.T) {
+	conn, srv, codes := startTestServer(t, 23, 4)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	caps, err := conn.GetCapabilities(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	limit := int(caps.MaxSelectFiltersPerQuery)
+	if limit != srv.Engine().Config().MaxSelectFilters || limit < 1 {
+		t.Fatalf("advertised %d filters per query, the engine runs %d", limit, srv.Engine().Config().MaxSelectFilters)
+	}
+	filter := func(action uint8) C1G2Filter {
+		return C1G2Filter{Mask: C1G2TagInventoryMask{MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset, Mask: codes[0]}, UnawareAction: action}
+	}
+	atLimit := make([]C1G2Filter, limit)
+	for i := range atLimit {
+		atLimit[i] = filter(ActionSelectDoNothing)
+	}
+	for i, tc := range []struct {
+		name    string
+		filters []C1G2Filter
+		ok      bool
+	}{
+		{"at the limit", atLimit, true},
+		{"one over the limit", append(atLimit, filter(ActionSelectDoNothing)), false},
+		{"action 5", []C1G2Filter{filter(ActionDoNothingSelect)}, true},
+		{"action 6", []C1G2Filter{filter(6)}, false},
+	} {
+		spec := basicROSpec(uint32(10+i), 100)
+		spec.AISpecs[0].Inventories[0].Commands[0].Filters = tc.filters
+		err := conn.AddROSpec(ctx, spec)
+		if tc.ok != (err == nil) {
+			t.Fatalf("%s: AddROSpec = %v", tc.name, err)
+		}
+		if !tc.ok {
+			var st LLRPStatus
+			if !errors.As(err, &st) || st.Code != StatusParamError {
+				t.Fatalf("%s: refused with %v, want a parameter-error status", tc.name, err)
+			}
+			if conn.EnableROSpec(ctx, spec.ID) == nil {
+				t.Fatalf("%s: a refused ROSpec was installed", tc.name)
+			}
+		}
+	}
 }
 
 func TestAccessSpecRoundTrip(t *testing.T) {
@@ -786,6 +885,49 @@ collect:
 		if n < 24 {
 			t.Fatalf("mid-stream batch of %d < N=24 (%v)", n, batches)
 		}
+	}
+}
+
+// TestReportEveryNFlushesInsideRound: one inventory round over 30 tags
+// with a report every 8 tags sends reports of 8, 8, 8 and then the
+// remaining 6 as the round ends.
+func TestReportEveryNFlushesInsideRound(t *testing.T) {
+	conn, srv, _ := startTestServer(t, 42, 30)
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	spec := basicROSpec(1, 1) // the spec ends after its first round
+	spec.AISpecs[0].StopTrigger = AISpecStopTrigger{Type: AIStopNull}
+	spec.Report = &ROReportSpec{Trigger: ReportEveryN, N: 8}
+	if err := conn.AddROSpec(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	conn.EnableROSpec(ctx, 1)
+	conn.StartROSpec(ctx, 1)
+	var sizes []int
+	deadline := time.After(3 * time.Second)
+	for ended := false; !ended; {
+		select {
+		case batch := <-conn.Reports():
+			sizes = append(sizes, len(batch))
+		case ev := <-conn.Events():
+			ended = ev.ROSpec != nil && ev.ROSpec.Type == ROSpecEnded
+		case <-deadline:
+			t.Fatalf("no end event; reports so far %v", sizes)
+		}
+	}
+	// The delete barrier: every report sent before its response is queued.
+	if err := conn.DeleteROSpec(ctx, 1); err != nil {
+		t.Fatal(err)
+	}
+	for len(conn.Reports()) > 0 {
+		sizes = append(sizes, len(<-conn.Reports()))
+	}
+	srv.Close() // joins the runner, so its engine counters are settled
+	if st := srv.Engine().Stats(); st.Rounds != 1 || st.Reads != 30 {
+		t.Fatalf("the spec ran %d rounds reading %d tags, want 1 round over all 30", st.Rounds, st.Reads)
+	}
+	if want := []int{8, 8, 8, 6}; !slices.Equal(sizes, want) {
+		t.Fatalf("report sizes %v, want %v", sizes, want)
 	}
 }
 

@@ -30,9 +30,10 @@ func BenchmarkRound40Tags(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reads, _ := r.RunRound(RoundOpts{Antenna: 1})
-		if len(reads) != 40 {
-			b.Fatalf("reads = %d", len(reads))
+		reads := 0
+		r.RunRound(RoundOpts{Antenna: 1}, func(TagRead) { reads++ })
+		if reads != 40 {
+			b.Fatalf("reads = %d", reads)
 		}
 	}
 }
@@ -42,9 +43,10 @@ func BenchmarkRound400Tags(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		reads, _ := r.RunRound(RoundOpts{Antenna: 1})
-		if len(reads) != 400 {
-			b.Fatalf("reads = %d", len(reads))
+		reads := 0
+		r.RunRound(RoundOpts{Antenna: 1}, func(TagRead) { reads++ })
+		if reads != 400 {
+			b.Fatalf("reads = %d", reads)
 		}
 	}
 }

@@ -71,11 +71,17 @@ type Config struct {
 	// Zero disables capture (the default; the paper's model assumes
 	// destructive collisions).
 	CaptureMarginDB float64
+	// MaxSelectFilters is how many Select commands one inventory round
+	// carries at most: the filter limit the reader reports, which LLRP
+	// calls MaxSelectFiltersPerQuery. Zero means 1.
+	MaxSelectFilters int
 }
 
 // DefaultConfig returns a configuration matching the paper's testbed:
 // autoset link profile, S1, τ₀ = 19 ms, 2 s hop dwell, Q-adaptive with
-// initial Q = 4.
+// initial Q = 4, and two Select filters per inventory, the two tag
+// filters Impinj's Octane SDK offers (unverified against an R420's own
+// LLRP capabilities).
 func DefaultConfig() Config {
 	return Config{
 		Timing:           gen2.ImpinjAutosetProfile(),
@@ -84,6 +90,7 @@ func DefaultConfig() Config {
 		HopEvery:         2 * time.Second,
 		Strategy:         aloha.NewQAdaptive(4),
 		MaxSlotsPerRound: 1 << 17,
+		MaxSelectFilters: 2,
 	}
 }
 
@@ -119,6 +126,9 @@ func New(cfg Config, scn *scene.Scene) *Reader {
 	}
 	if cfg.Timing.TariUS == 0 {
 		cfg.Timing = gen2.ImpinjAutosetProfile()
+	}
+	if cfg.MaxSelectFilters <= 0 {
+		cfg.MaxSelectFilters = 1
 	}
 	return &Reader{cfg: cfg, scn: scn, tags: make(map[epc.EPC]*gen2.Tag)}
 }
@@ -171,13 +181,12 @@ func (r *Reader) hop() {
 type RoundOpts struct {
 	// Antenna is the 1-based antenna port the round runs on.
 	Antenna int
-	// Filter, when non-nil, restricts the round to tags matching the
-	// bitmask: the reader issues SL-based Select commands and queries with
-	// Sel=SL, reproducing one AISpec with one C1G2Filter (§6).
-	Filter *gen2.SelectCmd
-	// Filters, when non-empty, restricts the round to tags matching ALL
-	// masks (Gen2 successive-Select intersection) — multiple C1G2Filters
-	// in one inventory command. Ignored when Filter is set.
+	// Filters, when non-empty, restricts the round to the tags whose SL
+	// flag they leave asserted: the reader clears SL, applies each Select
+	// in order with the action the caller states (the target is always
+	// SL), and queries with Sel=SL. One filter reproduces one AISpec with
+	// one C1G2Filter (§6). Actions [assert/-, -/deassert, …] intersect
+	// the masks; [assert/-, assert/-, …] unite them.
 	Filters []gen2.SelectCmd
 	// Budget, when positive, aborts the round once the round has consumed
 	// this much virtual time (the dwell boundary of a phase).
@@ -195,12 +204,14 @@ type participant struct {
 	lt *gen2.Tag
 }
 
-// RunRound executes one full inventory round and returns the successful
-// reads plus the round's total virtual duration. The round charges the
-// start-up cost τ₀, the Select air time, every slot, and the tail of empty
-// slots a real reader needs before it can conclude the population is
-// exhausted.
-func (r *Reader) RunRound(opts RoundOpts) ([]TagRead, time.Duration) {
+// RunRound executes one full inventory round and returns its total
+// virtual duration. Each successful read is handed to emit (which may be
+// nil) at its singulation, so the reader clock during the call is the
+// read's Time; emit must not start another round on this reader. The
+// round charges the start-up cost τ₀, the Select air time, every slot,
+// and the tail of empty slots a real reader needs before it can conclude
+// the population is exhausted.
+func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 	start := r.now
 	lt := r.cfg.Timing
 	r.stats.Rounds++
@@ -211,7 +222,7 @@ func (r *Reader) RunRound(opts RoundOpts) ([]TagRead, time.Duration) {
 
 	ant, ok := r.antenna(opts.Antenna)
 	if !ok {
-		return nil, r.now - start
+		return r.now - start
 	}
 
 	// Determine the tags the antenna can energise at round start.
@@ -235,25 +246,15 @@ func (r *Reader) RunRound(opts RoundOpts) ([]TagRead, time.Duration) {
 	}
 	r.applySelect(parts, resetSel)
 
-	filters := opts.Filters
-	if opts.Filter != nil {
-		filters = []gen2.SelectCmd{*opts.Filter}
-	}
 	sel := gen2.SelAll
-	if len(filters) > 0 {
+	if len(opts.Filters) > 0 {
 		sel = gen2.SelSL
-		// Deassert SL everywhere, assert it on the first mask's matches,
-		// then intersect: each further Select deasserts non-matching tags
-		// (the Gen2 successive-Select idiom).
+		// Deassert SL everywhere, then let each Select steer it by its own
+		// action.
 		clearSL := gen2.SelectCmd{Target: gen2.TargetSL, Action: gen2.ActionDeassertNothing, MemBank: epc.BankEPC, Pointer: 0}
 		r.applySelect(parts, clearSL)
-		for i, f := range filters {
+		for _, f := range opts.Filters {
 			f.Target = gen2.TargetSL
-			if i == 0 {
-				f.Action = gen2.ActionAssertNothing
-			} else {
-				f.Action = gen2.ActionNothingDeassert
-			}
 			r.applySelect(parts, f)
 		}
 	}
@@ -275,7 +276,6 @@ func (r *Reader) RunRound(opts RoundOpts) ([]TagRead, time.Duration) {
 		}
 	}
 
-	var reads []TagRead
 	slotCmd := lt.QueryRepDuration()
 	overBudget := func() bool {
 		return opts.Budget > 0 && r.now-start >= opts.Budget
@@ -320,13 +320,15 @@ func (r *Reader) RunRound(opts RoundOpts) ([]TagRead, time.Duration) {
 				st := r.scn.FindTag(er.EPC)
 				if st != nil {
 					m := r.scn.MeasureTag(st, ant, r.now, r.chIdx)
-					reads = append(reads, TagRead{
-						EPC: er.EPC, Time: r.now, Antenna: ant.ID,
-						Channel: r.chIdx, PhaseRad: m.PhaseRad, RSSdBm: m.RSSdBm,
-						Access: access,
-					})
 					r.stats.Reads++
 					pending--
+					if emit != nil {
+						emit(TagRead{
+							EPC: er.EPC, Time: r.now, Antenna: ant.ID,
+							Channel: r.chIdx, PhaseRad: m.PhaseRad, RSSdBm: m.RSSdBm,
+							Access: access,
+						})
+					}
 				}
 			}
 		default:
@@ -372,7 +374,7 @@ func (r *Reader) RunRound(opts RoundOpts) ([]TagRead, time.Duration) {
 		}
 	}
 	r.repliers = replies[:0]
-	return reads, r.now - start
+	return r.now - start
 }
 
 // captureWinner returns the index of the strongest replier when it clears
@@ -440,8 +442,7 @@ func (r *Reader) antenna(id int) (scene.Antenna, bool) {
 func (r *Reader) InventoryAll() []TagRead {
 	var out []TagRead
 	for _, a := range r.scn.Antennas {
-		reads, _ := r.RunRound(RoundOpts{Antenna: a.ID})
-		out = append(out, reads...)
+		r.RunRound(RoundOpts{Antenna: a.ID}, func(tr TagRead) { out = append(out, tr) })
 	}
 	return out
 }

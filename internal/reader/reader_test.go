@@ -35,9 +35,16 @@ func newRig(t *testing.T, seed int64, n int) (*Reader, []epc.EPC) {
 	return New(DefaultConfig(), scn), codes
 }
 
+// roundReads runs one round and collects what it read.
+func roundReads(r *Reader, opts RoundOpts) ([]TagRead, time.Duration) {
+	var reads []TagRead
+	d := r.RunRound(opts, func(tr TagRead) { reads = append(reads, tr) })
+	return reads, d
+}
+
 func TestSingleTagRound(t *testing.T) {
 	r, codes := newRig(t, 1, 1)
-	reads, d := r.RunRound(RoundOpts{Antenna: 1})
+	reads, d := roundReads(r, RoundOpts{Antenna: 1})
 	if len(reads) != 1 {
 		t.Fatalf("reads = %d, want 1", len(reads))
 	}
@@ -59,7 +66,7 @@ func TestSingleTagRound(t *testing.T) {
 func TestRoundReadsEveryTagExactlyOnce(t *testing.T) {
 	for _, n := range []int{5, 20, 40} {
 		r, codes := newRig(t, int64(n), n)
-		reads, _ := r.RunRound(RoundOpts{Antenna: 1})
+		reads, _ := roundReads(r, RoundOpts{Antenna: 1})
 		got := map[epc.EPC]int{}
 		for _, rd := range reads {
 			got[rd.EPC]++
@@ -75,7 +82,7 @@ func TestRoundReadsEveryTagExactlyOnce(t *testing.T) {
 func TestConsecutiveRoundsKeepReading(t *testing.T) {
 	r, codes := newRig(t, 3, 10)
 	for round := 0; round < 5; round++ {
-		reads, _ := r.RunRound(RoundOpts{Antenna: 1})
+		reads, _ := roundReads(r, RoundOpts{Antenna: 1})
 		if len(reads) != len(codes) {
 			t.Fatalf("round %d read %d tags, want %d", round, len(reads), len(codes))
 		}
@@ -92,7 +99,7 @@ func TestContentionSlotsWithinModelBounds(t *testing.T) {
 		r, _ := newRig(t, int64(400+n), n)
 		const rounds = 5
 		for i := 0; i < rounds; i++ {
-			r.RunRound(RoundOpts{Antenna: 1})
+			r.RunRound(RoundOpts{Antenna: 1}, nil)
 		}
 		return float64(r.Stats().Slots) / float64(rounds*n)
 	}
@@ -113,7 +120,7 @@ func TestIRRCollapsesWithPopulation(t *testing.T) {
 		var total time.Duration
 		const rounds = 10
 		for i := 0; i < rounds; i++ {
-			_, d := r.RunRound(RoundOpts{Antenna: 1})
+			_, d := roundReads(r, RoundOpts{Antenna: 1})
 			total += d
 		}
 		return float64(rounds) * float64(time.Second) / float64(total)
@@ -137,7 +144,7 @@ func TestMeasuredCostMatchesModelShape(t *testing.T) {
 		var total time.Duration
 		const rounds = 5
 		for i := 0; i < rounds; i++ {
-			_, d := r.RunRound(RoundOpts{Antenna: 1})
+			_, d := roundReads(r, RoundOpts{Antenna: 1})
 			total += d
 		}
 		mean := float64(total) / rounds / float64(time.Millisecond)
@@ -174,13 +181,13 @@ func TestFilterRestrictsRound(t *testing.T) {
 		Pointer: epc.EPCWordOffset,
 		Mask:    target,
 	}
-	reads, d := r.RunRound(RoundOpts{Antenna: 1, Filter: &mask})
+	reads, d := roundReads(r, RoundOpts{Antenna: 1, Filters: []gen2.SelectCmd{mask}})
 	if len(reads) != 1 || reads[0].EPC != target {
 		t.Fatalf("filtered round read %v, want only %s", reads, target)
 	}
 	// Selective round over 1 tag must be far cheaper than reading all 20.
 	rAll, _ := newRig(t, 7, 20)
-	_, dAll := rAll.RunRound(RoundOpts{Antenna: 1})
+	_, dAll := roundReads(rAll, RoundOpts{Antenna: 1})
 	if d >= dAll {
 		t.Fatalf("selective round (%v) should undercut read-all (%v)", d, dAll)
 	}
@@ -208,7 +215,7 @@ func TestFilterPrefixCoversSubset(t *testing.T) {
 	r := New(DefaultConfig(), scn)
 	mask, _ := epc.NewBits([]byte{0x30}, 4)
 	filter := gen2.SelectCmd{MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset, Mask: mask}
-	reads, _ := r.RunRound(RoundOpts{Antenna: 1, Filter: &filter})
+	reads, _ := roundReads(r, RoundOpts{Antenna: 1, Filters: []gen2.SelectCmd{filter}})
 	if len(reads) != want {
 		t.Fatalf("prefix round read %d tags, want %d", len(reads), want)
 	}
@@ -219,10 +226,88 @@ func TestFilterPrefixCoversSubset(t *testing.T) {
 	}
 }
 
+// TestFilterActionsUniteOrIntersect: the filters' actions decide the
+// round's population. Two Selects that each assert SL on their matches
+// read every energised tag either mask covers; a second Select that
+// deasserts its non-matches reads only the tags both cover. A tag out of
+// range matches both masks and is never read.
+func TestFilterActionsUniteOrIntersect(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	scn := scene.New(rf.NewChannel(rf.DefaultParams(), rng), rng)
+	scn.AddAntenna(rf.Pt(0, 0, 2))
+	// The first EPC byte is 0x35, 0x3A, 0xE5 or 0xEA, six tags each.
+	var codes []epc.EPC
+	for i := 0; i < 24; i++ {
+		b := make([]byte, 12)
+		rng.Read(b)
+		b[0] = []byte{0x35, 0x3A, 0xE5, 0xEA}[i%4]
+		codes = append(codes, epc.New(b))
+		scn.AddTag(codes[i], scene.Stationary{P: rf.Pt(0.5+float64(i%8)*0.2, 0.5+float64(i/8)*0.2, 0)})
+	}
+	scn.AddTag(epc.MustParse("350000000000000000000001"), scene.Stationary{P: rf.Pt(500, 0, 0)})
+	hi, _ := epc.NewBits([]byte{0x30}, 4)
+	lo, _ := epc.NewBits([]byte{0x50}, 4)
+	a := gen2.SelectCmd{Action: gen2.ActionAssertNothing, MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset, Mask: hi}
+	b := gen2.SelectCmd{Action: gen2.ActionAssertNothing, MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset + 4, Mask: lo}
+	bDeassert := b
+	bDeassert.Action = gen2.ActionNothingDeassert
+
+	for _, tc := range []struct {
+		name    string
+		filters []gen2.SelectCmd
+		want    func(first byte) bool
+	}{
+		{"union", []gen2.SelectCmd{a, b}, func(f byte) bool { return f>>4 == 0x3 || f&0xF == 0x5 }},
+		{"intersection", []gen2.SelectCmd{a, bDeassert}, func(f byte) bool { return f == 0x35 }},
+	} {
+		r := New(DefaultConfig(), scn)
+		reads, _ := roundReads(r, RoundOpts{Antenna: 1, Filters: tc.filters})
+		got := map[epc.EPC]int{}
+		for _, rd := range reads {
+			got[rd.EPC]++
+		}
+		want := 0
+		for _, c := range codes {
+			if !tc.want(c.Bytes()[0]) {
+				if got[c] != 0 {
+					t.Fatalf("%s: read %s, which it does not cover", tc.name, c)
+				}
+				continue
+			}
+			want++
+			if got[c] != 1 {
+				t.Fatalf("%s: read %s %d times, want once", tc.name, c, got[c])
+			}
+		}
+		if len(reads) != want {
+			t.Fatalf("%s: %d reads, want the %d covered tags in range", tc.name, len(reads), want)
+		}
+	}
+}
+
+// TestReadsHandedOverAtSingulation: emit runs while the round is still
+// going, with the reader clock standing at the read's time.
+func TestReadsHandedOverAtSingulation(t *testing.T) {
+	r, _ := newRig(t, 17, 20)
+	var times []time.Duration
+	r.RunRound(RoundOpts{Antenna: 1}, func(tr TagRead) {
+		if r.Now() != tr.Time {
+			t.Fatalf("read at %v handed over at %v", tr.Time, r.Now())
+		}
+		times = append(times, tr.Time)
+	})
+	if len(times) != 20 {
+		t.Fatalf("%d reads, want 20", len(times))
+	}
+	if last := times[len(times)-1]; last >= r.Now() {
+		t.Fatalf("last read at %v, round ended at %v: the round's empty tail comes after it", last, r.Now())
+	}
+}
+
 func TestBudgetAbortsRound(t *testing.T) {
 	r, _ := newRig(t, 9, 40)
 	budget := r.Config().StartupCost + 2*time.Millisecond
-	reads, d := r.RunRound(RoundOpts{Antenna: 1, Budget: budget})
+	reads, d := roundReads(r, RoundOpts{Antenna: 1, Budget: budget})
 	if len(reads) >= 40 {
 		t.Fatal("budgeted round should not complete the population")
 	}
@@ -237,7 +322,7 @@ func TestOutOfRangeTagsInvisible(t *testing.T) {
 	// A tag 500 m away is below sensitivity.
 	farCode := epc.MustParse("deadbeefdeadbeefdeadbeef")
 	r.Scene().AddTag(farCode, scene.Stationary{P: rf.Pt(500, 0, 0)})
-	reads, _ := r.RunRound(RoundOpts{Antenna: 1})
+	reads, _ := roundReads(r, RoundOpts{Antenna: 1})
 	for _, rd := range reads {
 		if rd.EPC == farCode {
 			t.Fatal("out-of-range tag was read")
@@ -250,7 +335,7 @@ func TestOutOfRangeTagsInvisible(t *testing.T) {
 
 func TestUnknownAntenna(t *testing.T) {
 	r, _ := newRig(t, 11, 3)
-	reads, d := r.RunRound(RoundOpts{Antenna: 99})
+	reads, d := roundReads(r, RoundOpts{Antenna: 99})
 	if len(reads) != 0 {
 		t.Fatal("unknown antenna must read nothing")
 	}
@@ -261,7 +346,7 @@ func TestUnknownAntenna(t *testing.T) {
 
 func TestStatsAccumulate(t *testing.T) {
 	r, _ := newRig(t, 12, 10)
-	r.RunRound(RoundOpts{Antenna: 1})
+	r.RunRound(RoundOpts{Antenna: 1}, nil)
 	s := r.Stats()
 	if s.Rounds != 1 || s.Reads != 10 || s.Singles != 10 {
 		t.Fatalf("stats = %+v", s)
@@ -278,7 +363,7 @@ func TestFrequencyHopping(t *testing.T) {
 	r, _ := newRig(t, 13, 2)
 	seen := map[int]bool{}
 	for i := 0; i < 40; i++ {
-		reads, _ := r.RunRound(RoundOpts{Antenna: 1})
+		reads, _ := roundReads(r, RoundOpts{Antenna: 1})
 		for _, rd := range reads {
 			seen[rd.Channel] = true
 		}
@@ -291,7 +376,7 @@ func TestFrequencyHopping(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.HopEvery = 0
 	r2 := New(cfg, r.Scene())
-	reads, _ := r2.RunRound(RoundOpts{Antenna: 1})
+	reads, _ := roundReads(r2, RoundOpts{Antenna: 1})
 	for _, rd := range reads {
 		if rd.Channel != 0 {
 			t.Fatalf("hop-disabled read on channel %d", rd.Channel)
@@ -349,6 +434,12 @@ func TestDefaultsFilledIn(t *testing.T) {
 	if r.Config().Strategy == nil || r.Config().MaxSlotsPerRound <= 0 || r.Config().Timing.TariUS == 0 {
 		t.Fatalf("zero config must be defaulted: %+v", r.Config())
 	}
+	if got := r.Config().MaxSelectFilters; got != 1 {
+		t.Fatalf("a zero filter limit must mean 1, got %d", got)
+	}
+	if got := DefaultConfig().MaxSelectFilters; got != 2 {
+		t.Fatalf("the default filter limit is %d, want the Speedway's 2", got)
+	}
 }
 
 func TestOracleStrategyFasterThanFixedQ(t *testing.T) {
@@ -365,7 +456,7 @@ func TestOracleStrategyFasterThanFixedQ(t *testing.T) {
 		r := New(cfg, scn)
 		var total time.Duration
 		for i := 0; i < 5; i++ {
-			_, d := r.RunRound(RoundOpts{Antenna: 1})
+			_, d := roundReads(r, RoundOpts{Antenna: 1})
 			total += d
 		}
 		return total
@@ -384,7 +475,7 @@ func TestRoundWithAccessOps(t *testing.T) {
 		{OpSpecID: 2, Kind: AccessWrite, Bank: epc.BankUser, WordPtr: 0, Data: []uint16{0xCAFE}},
 		{OpSpecID: 3, Kind: AccessRead, Bank: epc.BankEPC, WordPtr: 99, WordCount: 1}, // overrun
 	}
-	reads, d := r.RunRound(RoundOpts{Antenna: 1, Access: ops})
+	reads, d := roundReads(r, RoundOpts{Antenna: 1, Access: ops})
 	if len(reads) != len(codes) {
 		t.Fatalf("reads = %d", len(reads))
 	}
@@ -413,12 +504,12 @@ func TestRoundWithAccessOps(t *testing.T) {
 	}
 	// Access ops cost air time: the round must be slower than a plain one.
 	r2, _ := newRig(t, 30, 4)
-	_, plain := r2.RunRound(RoundOpts{Antenna: 1})
+	_, plain := roundReads(r2, RoundOpts{Antenna: 1})
 	if d <= plain {
 		t.Fatalf("access round (%v) must cost more than plain (%v)", d, plain)
 	}
 	// And the inventory invariant still holds on the next round.
-	reads2, _ := r.RunRound(RoundOpts{Antenna: 1})
+	reads2, _ := roundReads(r, RoundOpts{Antenna: 1})
 	if len(reads2) != len(codes) {
 		t.Fatalf("post-access round reads = %d", len(reads2))
 	}
@@ -444,7 +535,7 @@ func TestCaptureEffectResolvesNearFar(t *testing.T) {
 	withCapture := build(6)
 	var capSlots int
 	for i := 0; i < 20; i++ {
-		reads, _ := withCapture.RunRound(RoundOpts{Antenna: 1})
+		reads, _ := roundReads(withCapture, RoundOpts{Antenna: 1})
 		if len(reads) != 2 {
 			t.Fatalf("capture round read %d tags; both must still be inventoried", len(reads))
 		}
@@ -453,7 +544,7 @@ func TestCaptureEffectResolvesNearFar(t *testing.T) {
 
 	without := build(0)
 	for i := 0; i < 20; i++ {
-		reads, _ := without.RunRound(RoundOpts{Antenna: 1})
+		reads, _ := roundReads(without, RoundOpts{Antenna: 1})
 		if len(reads) != 2 {
 			t.Fatalf("plain round read %d tags", len(reads))
 		}
