@@ -64,10 +64,10 @@ crash:
 soak:
 	TAGWATCH_SOAK=full GOMEMLIMIT=512MiB go test -race -count=1 -run TestSoakFloodSurvival -v ./internal/fleet/
 
-# Short fuzz bursts on the wire-facing decoders, the disk decoders of
-# the checkpoint protocol, the per-reader count JSON, the -chaos flag
-# parser and the middleware's config file, mirroring CI. Go allows one
-# -fuzz target per invocation.
+# Short fuzz bursts on the wire-facing decoders (the edge's SSE frame
+# loop among them), the disk decoders of the checkpoint protocol, the
+# per-reader count JSON, the -chaos flag parser and the middleware's
+# config file, mirroring CI. Go allows one -fuzz target per invocation.
 fuzz-smoke:
 	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -run '^$$' ./internal/llrp/
 	go test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/epc/
@@ -83,6 +83,7 @@ fuzz-smoke:
 	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/fleet/
 	go test -fuzz=FuzzReaderCounts -fuzztime=10s -run '^$$' ./internal/fleet/
 	go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$$' ./internal/replication/
+	go test -fuzz=FuzzFrameLoop -fuzztime=10s -run '^$$' ./internal/edge/
 
 # The perf-trajectory rig: the core data-plane benchmarks (wire codec,
 # schedule solver, motion model, EPC ops, WAL append, registry merge,

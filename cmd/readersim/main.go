@@ -8,6 +8,9 @@
 //	readersim -listen 127.0.0.1:5084 -tags 40 -movers 2 -timescale 1
 //
 // With -timescale 1 the emulator paces reports in real time; 0 free-runs.
+// A reader needs at least one antenna, and tag counts cannot be negative:
+// readersim exits with status 2 on -antennas below 1 or a negative -tags
+// or -movers.
 //
 // The -chaos flag interposes the seeded fault injector between clients
 // and the emulator — a misbehaving reader on demand:
@@ -43,6 +46,10 @@ func main() {
 		chaosSpec = flag.String("chaos", "", "fault injection spec, e.g. 'seed=42,latency=5ms,stall=0.01,truncate=0.01,corrupt=0.01,reset=0.01,blackhole-after=65536,refuse=0.1' (empty = none)")
 	)
 	flag.Parse()
+	if err := checkFlags(*tags, *movers, *antennas); err != nil {
+		fmt.Fprintln(os.Stderr, "readersim:", err)
+		os.Exit(2)
+	}
 
 	rng := rand.New(rand.NewSource(*seed))
 	scn := scene.New(rf.NewChannel(rf.DefaultParams(), rng), rng)
@@ -92,4 +99,19 @@ func main() {
 	<-stop
 	srv.Close()
 	fmt.Println("readersim: shut down")
+}
+
+// checkFlags rejects a rig the emulator cannot build: with no antenna
+// every ROSpec would end without a round, and a negative count would
+// slice the population out of range.
+func checkFlags(tags, movers, antennas int) error {
+	switch {
+	case antennas < 1:
+		return fmt.Errorf("-antennas must be at least 1, got %d", antennas)
+	case tags < 0:
+		return fmt.Errorf("-tags must not be negative, got %d", tags)
+	case movers < 0:
+		return fmt.Errorf("-movers must not be negative, got %d", movers)
+	}
+	return nil
 }

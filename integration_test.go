@@ -3,8 +3,7 @@ package tagwatch_test
 // The grand integration test: the complete stack, end to end, over real
 // TCP — scene → Gen2 link layer → reader engine → LLRP emulator ⇄ LLRP
 // client → Tagwatch middleware — asserting the paper's headline behaviour
-// (movers' reading rates multiply while parked tags are suppressed) plus
-// the access layer riding the same inventory.
+// (movers' reading rates multiply while parked tags are suppressed).
 
 import (
 	"context"
@@ -62,18 +61,6 @@ func TestFullStackOverTCP(t *testing.T) {
 	caps, err := conn.GetCapabilities(ctx)
 	if err != nil || caps.MaxAntennas != 1 || !caps.SupportsPhaseReporting {
 		t.Fatalf("capabilities: %+v, %v", caps, err)
-	}
-
-	// An AccessSpec reads a TID word from everything the inventory
-	// singulates — exercised concurrently with the two-phase reading.
-	if err := conn.AddAccessSpec(ctx, llrp.AccessSpec{
-		ID:  1,
-		Ops: []llrp.OpSpec{{OpSpecID: 7, Bank: epc.BankTID, WordPtr: 0, WordCount: 1}},
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.EnableAccessSpec(ctx, 1); err != nil {
-		t.Fatal(err)
 	}
 
 	// The middleware over the wire.

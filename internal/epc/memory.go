@@ -136,61 +136,3 @@ func (m *Memory) Match(bank MemoryBank, pointer int, mask EPC) bool {
 	}
 	return m.banks[bank].MatchBits(pointer, mask)
 }
-
-// ReadWords returns n 16-bit words starting at word address wordPtr of a
-// bank — the semantics of the Gen2 Read access command. Reads past the end
-// of the bank fail (tags answer with a memory-overrun error).
-func (m *Memory) ReadWords(b MemoryBank, wordPtr, n int) ([]uint16, error) {
-	if b > BankUser {
-		return nil, fmt.Errorf("epc: invalid memory bank %d", b)
-	}
-	if wordPtr < 0 || n <= 0 {
-		return nil, fmt.Errorf("epc: invalid read window [%d, %d words)", wordPtr, n)
-	}
-	bank := m.banks[b]
-	if (wordPtr+n)*16 > bank.Bits() {
-		return nil, fmt.Errorf("epc: read [%d,%d) words overruns %d-bit bank %s",
-			wordPtr, wordPtr+n, bank.Bits(), b)
-	}
-	out := make([]uint16, n)
-	for i := 0; i < n; i++ {
-		w, err := bank.Slice((wordPtr+i)*16, 16)
-		if err != nil {
-			return nil, err
-		}
-		out[i] = uint16(w.Uint64())
-	}
-	return out, nil
-}
-
-// WriteWords writes 16-bit words starting at word address wordPtr of a
-// bank — the Gen2 Write/BlockWrite semantics. The bank grows as needed for
-// the User bank; the other banks must already cover the window. Writing
-// into the EPC bank keeps the stored CRC stale, as on a real tag (it is
-// recomputed by the tag only at power-up; SetEPC recomputes explicitly).
-func (m *Memory) WriteWords(b MemoryBank, wordPtr int, words []uint16) error {
-	if b > BankUser {
-		return fmt.Errorf("epc: invalid memory bank %d", b)
-	}
-	if wordPtr < 0 || len(words) == 0 {
-		return fmt.Errorf("epc: invalid write window [%d, %d words)", wordPtr, len(words))
-	}
-	bank := m.banks[b]
-	needBits := (wordPtr + len(words)) * 16
-	raw := bank.Bytes()
-	if needBits > bank.Bits() {
-		if b != BankUser {
-			return fmt.Errorf("epc: write [%d,%d) words overruns %d-bit bank %s",
-				wordPtr, wordPtr+len(words), bank.Bits(), b)
-		}
-		grown := make([]byte, (needBits+7)/8)
-		copy(grown, raw)
-		raw = grown
-	}
-	for i, w := range words {
-		raw[(wordPtr+i)*2] = byte(w >> 8)
-		raw[(wordPtr+i)*2+1] = byte(w)
-	}
-	m.banks[b] = New(raw)
-	return nil
-}

@@ -147,62 +147,3 @@ func TestMemoryMatchAgainstPopulation(t *testing.T) {
 		}
 	}
 }
-
-func TestReadWords(t *testing.T) {
-	m := NewMemory(MustParse("30f4ab12cd0045e100000001"))
-	// EPC bank word 2..7 hold the EPC code.
-	words, err := m.ReadWords(BankEPC, 2, 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if words[0] != 0x30f4 || words[5] != 0x0001 {
-		t.Fatalf("words = %04x", words)
-	}
-	if _, err := m.ReadWords(BankEPC, 7, 2); err == nil {
-		t.Fatal("overrun read must error")
-	}
-	if _, err := m.ReadWords(MemoryBank(9), 0, 1); err == nil {
-		t.Fatal("invalid bank must error")
-	}
-	if _, err := m.ReadWords(BankEPC, -1, 1); err == nil {
-		t.Fatal("negative pointer must error")
-	}
-	if _, err := m.ReadWords(BankEPC, 0, 0); err == nil {
-		t.Fatal("zero count must error")
-	}
-}
-
-func TestWriteWordsUserBankGrows(t *testing.T) {
-	m := NewMemory(MustParse("30f4ab12cd0045e100000001"))
-	if err := m.WriteWords(BankUser, 3, []uint16{0xCAFE, 0xBABE}); err != nil {
-		t.Fatal(err)
-	}
-	words, err := m.ReadWords(BankUser, 3, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if words[0] != 0xCAFE || words[1] != 0xBABE {
-		t.Fatalf("read back %04x", words)
-	}
-	// Other banks must not grow.
-	if err := m.WriteWords(BankTID, 10, []uint16{1}); err == nil {
-		t.Fatal("TID overrun write must error")
-	}
-	if err := m.WriteWords(MemoryBank(7), 0, []uint16{1}); err == nil {
-		t.Fatal("invalid bank must error")
-	}
-	if err := m.WriteWords(BankUser, 0, nil); err == nil {
-		t.Fatal("empty write must error")
-	}
-}
-
-func TestWriteWordsEPCBankInPlace(t *testing.T) {
-	m := NewMemory(MustParse("30f4ab12cd0045e100000001"))
-	if err := m.WriteWords(BankEPC, 2, []uint16{0xDEAD}); err != nil {
-		t.Fatal(err)
-	}
-	code := m.EPC()
-	if code.Bytes()[0] != 0xDE || code.Bytes()[1] != 0xAD {
-		t.Fatalf("EPC after write = %s", code)
-	}
-}

@@ -53,9 +53,9 @@ func (f Flag) Invert() Flag { return f ^ 1 }
 // State is a tag's inventory state.
 type State uint8
 
-// Tag inventory states (the subset of the Gen2 state diagram exercised by
-// inventory; Open/Secured belong to the access layer, which the paper does
-// not use).
+// Tag inventory states: the part of the Gen2 state diagram inventory
+// exercises. The paper reads tags by Select and inventory alone, so the
+// access states beyond Acknowledged are not modelled.
 const (
 	StateReady State = iota
 	StateArbitrate
@@ -74,10 +74,6 @@ func (s State) String() string {
 		return "Reply"
 	case StateAcknowledged:
 		return "Acknowledged"
-	case StateOpen:
-		return "Open"
-	case StateSecured:
-		return "Secured"
 	default:
 		return fmt.Sprintf("State(%d)", uint8(s))
 	}

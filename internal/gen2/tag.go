@@ -21,7 +21,6 @@ type Tag struct {
 	session Session // session of the round the tag is participating in
 	slot    uint32  // 15-bit slot counter per Gen2 (we keep headroom)
 	rn16    uint16
-	handle  uint16 // access handle (Open/Secured)
 }
 
 // NewTag builds a tag around existing memory.
@@ -155,7 +154,7 @@ type Reply struct {
 // its inventoried flag (its previous singulation succeeded) and then
 // re-evaluates participation, per the Gen2 state diagram.
 func (t *Tag) HandleQuery(q Query, rng *rand.Rand) *Reply {
-	if t.doneState() && q.Session == t.session {
+	if t.state == StateAcknowledged && q.Session == t.session {
 		t.inv[t.session&3] = t.inv[t.session&3].Invert()
 	}
 	t.state = StateReady
@@ -183,7 +182,7 @@ func (t *Tag) HandleQueryRep(qr QueryRep, rng *rand.Rand) *Reply {
 		return nil
 	}
 	switch t.state {
-	case StateAcknowledged, StateOpen, StateSecured:
+	case StateAcknowledged:
 		t.inv[t.session&3] = t.inv[t.session&3].Invert()
 		t.state = StateReady
 		return nil
@@ -215,7 +214,7 @@ func (t *Tag) HandleQueryAdjust(qa QueryAdjust, newQ uint8, rng *rand.Rand) *Rep
 		return nil
 	}
 	switch t.state {
-	case StateAcknowledged, StateOpen, StateSecured:
+	case StateAcknowledged:
 		t.inv[t.session&3] = t.inv[t.session&3].Invert()
 		t.state = StateReady
 		return nil
@@ -262,22 +261,12 @@ func (t *Tag) HandleACK(a ACK) *EPCReply {
 	return &EPCReply{PC: pc, EPC: code, CRC: epc.CRC16(body)}
 }
 
-// HandleNAK returns a replying, acknowledged or access-state tag to
-// Arbitrate without inverting its inventoried flag.
+// HandleNAK returns a replying or acknowledged tag to Arbitrate without
+// inverting its inventoried flag.
 func (t *Tag) HandleNAK() {
 	switch t.state {
-	case StateReply, StateAcknowledged, StateOpen, StateSecured:
+	case StateReply, StateAcknowledged:
 		t.state = StateArbitrate
 		t.slot = 0x7FFF
 	}
-}
-
-// doneState reports whether the tag completed singulation (Acknowledged or
-// an access state) and should invert its flag on the next round command.
-func (t *Tag) doneState() bool {
-	switch t.state {
-	case StateAcknowledged, StateOpen, StateSecured:
-		return true
-	}
-	return false
 }

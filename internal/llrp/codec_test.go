@@ -260,6 +260,42 @@ func TestTagReportRoundTripOddLength(t *testing.T) {
 	}
 }
 
+// opSpecResultReport is one TagReportData parameter, byte for byte, as a
+// reader sends it while an AccessSpec left by another client is active:
+// EPC, antenna, RSSI and phase interleaved with a C1G2ReadOpSpecResult
+// (type 349) and a C1G2WriteOpSpecResult (type 350).
+func opSpecResultReport() []byte {
+	tlv := func(typ uint16, body ...byte) []byte {
+		n := 4 + len(body)
+		return append([]byte{byte(typ >> 8), byte(typ), byte(n >> 8), byte(n)}, body...)
+	}
+	var b []byte
+	b = append(b, 0x80|13, 0x30, 0xf4, 0xab, 0x12, 0xcd, 0x00, 0x45, 0xe1, 0x00, 0x00, 0x00, 0x01) // EPC-96
+	b = append(b, tlv(349, 0x00, 0x00, 0x07, 0x00, 0x02, 0xe2, 0x80, 0x11, 0x60)...)               // read: OK, OpSpecID 7, 2 words
+	b = append(b, 0x80|1, 0x00, 0x02)                                                              // AntennaID 2
+	b = append(b, 0x80|6, 0xc4)                                                                    // PeakRSSI -60 dBm
+	b = append(b, tlv(1023, 0x00, 0x00, 0x65, 0x1a, 0x00, 0x00, 0x03, 0xed, 0x40, 0x00)...)        // Impinj phase, a quarter turn
+	b = append(b, tlv(350, 0x00, 0x00, 0x08, 0x00, 0x01)...)                                       // write: OK, OpSpecID 8, 1 word
+	return tlv(240, b...)
+}
+
+func TestTagReportSkipsOpSpecResults(t *testing.T) {
+	got, err := DecodeROAccessReport(Message{Type: MsgROAccessReport, ID: 1, Body: opSpecResultReport()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 {
+		t.Fatalf("reports: %d", len(got))
+	}
+	g := got[0]
+	if g.EPC != epc.MustParse("30f4ab12cd0045e100000001") || g.AntennaID != 2 || g.PeakRSSIdBm != -60 {
+		t.Fatalf("report: %+v", g)
+	}
+	if !g.HasPhase || g.PhaseAngle16 != 0x4000 {
+		t.Fatalf("phase: %v %#x", g.HasPhase, g.PhaseAngle16)
+	}
+}
+
 func TestROAccessReportMany(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	codes, _ := epc.RandomPopulation(rng, 64, 96)
@@ -465,10 +501,6 @@ func TestAllMessageNames(t *testing.T) {
 		MsgDisableROSpec, MsgDisableROSpecResponse,
 		MsgROAccessReport, MsgKeepalive, MsgKeepaliveAck,
 		MsgReaderEventNotification, MsgErrorMessage,
-		MsgAddAccessSpec, MsgAddAccessSpecResponse,
-		MsgDeleteAccessSpec, MsgDeleteAccessSpecResponse,
-		MsgEnableAccessSpec, MsgEnableAccessSpecResponse,
-		MsgDisableAccessSpec, MsgDisableAccessSpecResponse,
 	}
 	seen := map[string]bool{}
 	for _, typ := range types {

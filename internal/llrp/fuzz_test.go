@@ -20,6 +20,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	)).EncodeFrame())
 	f.Add(NewAddROSpec(9, filterSpec([2]uint8{ActionSelectUnselect, 6})).EncodeFrame())
 	f.Add(NewROAccessReport(1, benchReports(3)).EncodeFrame())
+	f.Add(Message{Type: MsgROAccessReport, ID: 2, Body: opSpecResultReport()}.EncodeFrame())
 	s := ConnSuccess
 	f.Add(NewReaderEventNotification(1, UTCTimestamp{Microseconds: 1}, &s).EncodeFrame())
 	f.Add(NewGetReaderCapabilitiesResponse(1, LLRPStatus{}, Capabilities{MaxAntennas: 4}).EncodeFrame())

@@ -351,14 +351,6 @@ func responseTypeFor(t MessageType) (MessageType, bool) {
 		return MsgDisableROSpecResponse, true
 	case MsgCloseConnection:
 		return MsgCloseConnectionResponse, true
-	case MsgAddAccessSpec:
-		return MsgAddAccessSpecResponse, true
-	case MsgDeleteAccessSpec:
-		return MsgDeleteAccessSpecResponse, true
-	case MsgEnableAccessSpec:
-		return MsgEnableAccessSpecResponse, true
-	case MsgDisableAccessSpec:
-		return MsgDisableAccessSpecResponse, true
 	default:
 		return 0, false
 	}

@@ -688,8 +688,6 @@ type TagReportData struct {
 	TagSeenCount uint16
 	HasPhase     bool
 	PhaseAngle16 uint16 // ImpinJ: phase in units of 2π/4096 (we use /65536)
-	// OpResults carries access-operation outcomes (AccessSpec execution).
-	OpResults []OpResult
 }
 
 // PhaseRadians converts the 16-bit phase fraction to radians.
@@ -739,9 +737,6 @@ func (t TagReportData) encode(w *Writer) {
 		w.U16(t.PhaseAngle16)
 		w.closeTLV(co)
 	}
-	for _, o := range t.OpResults {
-		o.encode(w)
-	}
 	w.closeTLV(off)
 }
 
@@ -787,22 +782,6 @@ func decodeTagReportData(body []byte) (TagReportData, error) {
 				t.HasPhase = true
 				t.PhaseAngle16 = pr.U16()
 			}
-		case ParamC1G2ReadOpSpecResult:
-			var o OpResult
-			o.Result = pr.U8()
-			o.OpSpecID = pr.U16()
-			n := int(pr.U16())
-			for i := 0; i < n; i++ {
-				o.Data = append(o.Data, pr.U16())
-			}
-			t.OpResults = append(t.OpResults, o)
-		case ParamC1G2WriteOpSpecResult:
-			var o OpResult
-			o.Write = true
-			o.Result = pr.U8()
-			o.OpSpecID = pr.U16()
-			o.WordsWritten = pr.U16()
-			t.OpResults = append(t.OpResults, o)
 		}
 		if err := pr.Err(); err != nil {
 			return t, err

@@ -9,7 +9,6 @@ import (
 	"sync"
 	"time"
 
-	"tagwatch/internal/epc"
 	"tagwatch/internal/gen2"
 	"tagwatch/internal/reader"
 )
@@ -33,10 +32,9 @@ type Server struct {
 	engine *reader.Reader
 	lis    net.Listener
 
-	mu          sync.Mutex
-	rospecs     map[uint32]*rospecEntry
-	accessSpecs map[uint32]*accessEntry
-	baseUTC     time.Time
+	mu      sync.Mutex
+	rospecs map[uint32]*rospecEntry
+	baseUTC time.Time
 
 	closed  chan struct{}
 	closeMu sync.Once
@@ -67,21 +65,15 @@ type rospecEntry struct {
 	done    chan struct{} // non-nil while the runner is alive; runner closes it
 }
 
-type accessEntry struct {
-	spec    AccessSpec
-	enabled bool
-}
-
 // NewServer builds a reader emulator over a simulator engine.
 func NewServer(engine *reader.Reader, cfg ServerConfig) *Server {
 	return &Server{
-		cfg:         cfg,
-		engine:      engine,
-		rospecs:     make(map[uint32]*rospecEntry),
-		accessSpecs: make(map[uint32]*accessEntry),
-		conns:       make(map[net.Conn]struct{}),
-		baseUTC:     time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC),
-		closed:      make(chan struct{}),
+		cfg:     cfg,
+		engine:  engine,
+		rospecs: make(map[uint32]*rospecEntry),
+		conns:   make(map[net.Conn]struct{}),
+		baseUTC: time.Date(2026, 7, 6, 0, 0, 0, 0, time.UTC),
+		closed:  make(chan struct{}),
 	}
 }
 
@@ -384,50 +376,6 @@ func (s *Server) handle(conn *serverConn, msg Message) bool {
 		}
 		conn.send(NewGetReaderCapabilitiesResponse(msg.ID, ok, caps))
 
-	case MsgAddAccessSpec:
-		spec, err := DecodeAddAccessSpec(msg)
-		status := ok
-		if err != nil {
-			status = LLRPStatus{Code: StatusParamError, Description: err.Error()}
-		} else {
-			s.mu.Lock()
-			if _, dup := s.accessSpecs[spec.ID]; dup {
-				status = LLRPStatus{Code: StatusFieldError, Description: fmt.Sprintf("AccessSpec %d exists", spec.ID)}
-			} else {
-				s.accessSpecs[spec.ID] = &accessEntry{spec: spec}
-			}
-			s.mu.Unlock()
-		}
-		conn.send(NewStatusResponse(MsgAddAccessSpecResponse, msg.ID, status))
-
-	case MsgEnableAccessSpec, MsgDisableAccessSpec:
-		id, _ := ROSpecIDOf(msg)
-		status := ok
-		respType := MsgEnableAccessSpecResponse
-		enable := msg.Type == MsgEnableAccessSpec
-		if !enable {
-			respType = MsgDisableAccessSpecResponse
-		}
-		s.mu.Lock()
-		if e, exists := s.accessSpecs[id]; exists {
-			e.enabled = enable
-		} else {
-			status = LLRPStatus{Code: StatusFieldError, Description: fmt.Sprintf("no AccessSpec %d", id)}
-		}
-		s.mu.Unlock()
-		conn.send(NewStatusResponse(respType, msg.ID, status))
-
-	case MsgDeleteAccessSpec:
-		id, _ := ROSpecIDOf(msg)
-		s.mu.Lock()
-		if id == 0 {
-			s.accessSpecs = make(map[uint32]*accessEntry)
-		} else {
-			delete(s.accessSpecs, id)
-		}
-		s.mu.Unlock()
-		conn.send(NewStatusResponse(MsgDeleteAccessSpecResponse, msg.ID, ok))
-
 	case MsgKeepaliveAck:
 		// nothing to do
 
@@ -649,6 +597,12 @@ func (s *Server) runROSpec(conn *serverConn, e *rospecEntry, stop, done chan str
 					antennas = append(antennas, uint16(a.ID))
 				}
 			}
+			if len(antennas) == 0 {
+				// No round would run, so the clock could never reach a
+				// deadline: skip the AISpec and leave the guard below
+				// to end a spec that has nothing else to run.
+				continue
+			}
 			// Run at least one pass; with a duration trigger keep cycling
 			// rounds until the virtual deadline.
 			for pass := 0; ; pass++ {
@@ -669,18 +623,15 @@ func (s *Server) runROSpec(conn *serverConn, e *rospecEntry, stop, done chan str
 							break
 						}
 					}
-					accessOps, accessFilter := s.accessOpsFor(spec.ID, ant)
 					// The round takes next to no wall time; its reports go out
 					// after the engine is released, each paced to the
 					// read that completes it.
 					s.engineMu.Lock()
 					start := s.engine.Now()
 					end := start + s.engine.RunRound(reader.RoundOpts{
-						Antenna:      int(ant),
-						Filters:      filters,
-						Budget:       budget,
-						Access:       accessOps,
-						AccessFilter: accessFilter,
+						Antenna: int(ant),
+						Filters: filters,
+						Budget:  budget,
 					}, func(rd reader.TagRead) { reads = append(reads, rd) })
 					s.engineMu.Unlock()
 					progressed = true
@@ -712,50 +663,6 @@ func (s *Server) runROSpec(conn *serverConn, e *rospecEntry, stop, done chan str
 	}
 }
 
-// accessOpsFor collects the enabled AccessSpecs bound to this ROSpec and
-// antenna, compiled into reader operations plus a tag filter. LLRP allows
-// several AccessSpecs; the emulator applies the first matching one per
-// round (the common deployment shape).
-func (s *Server) accessOpsFor(rospecID uint32, antenna uint16) ([]reader.AccessOp, func(*epc.Memory) bool) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, e := range s.accessSpecs {
-		if !e.enabled {
-			continue
-		}
-		if e.spec.ROSpecID != 0 && e.spec.ROSpecID != rospecID {
-			continue
-		}
-		if e.spec.Antenna != 0 && e.spec.Antenna != antenna {
-			continue
-		}
-		ops := make([]reader.AccessOp, 0, len(e.spec.Ops))
-		for _, op := range e.spec.Ops {
-			kind := reader.AccessRead
-			if op.Write {
-				kind = reader.AccessWrite
-			}
-			ops = append(ops, reader.AccessOp{
-				OpSpecID:  op.OpSpecID,
-				Kind:      kind,
-				Bank:      op.Bank,
-				WordPtr:   int(op.WordPtr),
-				WordCount: int(op.WordCount),
-				Data:      op.Data,
-			})
-		}
-		target := e.spec.Target
-		var filter func(*epc.Memory) bool
-		if !target.IsZero() {
-			filter = func(m *epc.Memory) bool {
-				return m.Match(target.Bank, int(target.Pointer), target.Mask)
-			}
-		}
-		return ops, filter
-	}
-	return nil, nil
-}
-
 // toReport converts a simulator read into a wire tag report.
 func (s *Server) toReport(rospecID uint32, rd reader.TagRead) TagReportData {
 	tr := TagReportData{
@@ -775,14 +682,5 @@ func (s *Server) toReport(rospecID uint32, rd reader.TagRead) TagReportData {
 	}
 	tr.PeakRSSIdBm = int8(rssi)
 	tr.SetPhaseRadians(rd.PhaseRad)
-	for _, a := range rd.Access {
-		res := OpResult{OpSpecID: a.OpSpecID, Write: a.Write}
-		if !a.OK {
-			res.Result = 1 // non-specific error
-		}
-		res.Data = a.Data
-		res.WordsWritten = uint16(a.WordsWritten)
-		tr.OpResults = append(tr.OpResults, res)
-	}
 	return tr
 }

@@ -32,8 +32,15 @@ func startTestServer(t *testing.T, seed int64, n int) (*Conn, *Server, []epc.EPC
 	for i, c := range codes {
 		scn.AddTag(c, scene.Stationary{P: rf.Pt(0.5+float64(i%8)*0.3, 0.5+float64(i/8)*0.3, 0)})
 	}
-	eng := reader.New(reader.DefaultConfig(), scn)
-	srv := NewServer(eng, ServerConfig{})
+	conn, srv := serveScene(t, scn)
+	return conn, srv, codes
+}
+
+// serveScene runs a reader emulator over scn and returns a connected
+// client.
+func serveScene(t *testing.T, scn *scene.Scene) (*Conn, *Server) {
+	t.Helper()
+	srv := NewServer(reader.New(reader.DefaultConfig(), scn), ServerConfig{})
 	addr, err := srv.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -47,7 +54,7 @@ func startTestServer(t *testing.T, seed int64, n int) (*Conn, *Server, []epc.EPC
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { conn.Close() })
-	return conn, srv, codes
+	return conn, srv
 }
 
 // collectReports drains tag reports until idle for the given window or the
@@ -297,15 +304,36 @@ func TestCloseConnection(t *testing.T) {
 
 func TestUnsupportedMessage(t *testing.T) {
 	conn, _, _ := startTestServer(t, 8, 2)
-	// Hand-roll an unsupported message type and check the server answers
-	// with ERROR_MESSAGE rather than dying.
-	raw := Message{Type: MessageType(999), ID: 1234}
-	if err := conn.send(raw); err != nil {
-		t.Fatal(err)
-	}
-	// The connection must still be usable.
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
 	defer cancel()
+	// The emulator runs ROSpecs only: an AccessSpec request (ADD_,
+	// DELETE_, ENABLE_ and DISABLE_ACCESSSPEC, types 40–43) is as foreign
+	// to it as a made-up type, and each must be answered with an
+	// ERROR_MESSAGE carrying StatusUnsupported rather than kill the
+	// session.
+	for i, typ := range []MessageType{40, 41, 42, 43, 999} {
+		id := uint32(1000 + i)
+		reply := make(chan Message, 1)
+		conn.mu.Lock()
+		conn.pending[id] = reply
+		conn.mu.Unlock()
+		if err := conn.send(Message{Type: typ, ID: id}); err != nil {
+			t.Fatal(err)
+		}
+		select {
+		case m := <-reply:
+			if m.Type != MsgErrorMessage {
+				t.Fatalf("type %d answered with %s, want ERROR_MESSAGE", typ, m.Type.Name())
+			}
+			st, err := DecodeStatus(m)
+			if err != nil || st.Code != StatusUnsupported {
+				t.Fatalf("type %d: status %+v (%v), want StatusUnsupported", typ, st, err)
+			}
+		case <-ctx.Done():
+			t.Fatalf("type %d: no reply", typ)
+		}
+	}
+	// The connection must still be usable.
 	if err := conn.AddROSpec(ctx, basicROSpec(5, 10)); err != nil {
 		t.Fatalf("connection broken after unsupported message: %v", err)
 	}
@@ -396,6 +424,41 @@ func TestROSpecEndEventDelivered(t *testing.T) {
 	}
 	if !started {
 		t.Fatal("start event missing")
+	}
+}
+
+func TestROSpecWithoutAntennasEnds(t *testing.T) {
+	// AntennaIDs {0} means every antenna of the reader. With none, no
+	// round runs and the virtual clock stands still, so neither duration
+	// trigger can fire: the spec must end at once instead of spinning.
+	rng := rand.New(rand.NewSource(22))
+	conn, srv := serveScene(t, scene.New(rf.NewChannel(rf.DefaultParams(), rng), rng))
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	spec := basicROSpec(3, 100)
+	spec.AISpecs[0].AntennaIDs = []uint16{0}
+	if err := conn.AddROSpec(ctx, spec); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.EnableROSpec(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	if err := conn.StartROSpec(ctx, 3); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.After(2 * time.Second)
+	for {
+		select {
+		case ev, ok := <-conn.Events():
+			if !ok {
+				t.Fatal("event stream died")
+			}
+			if ev.ROSpec != nil && ev.ROSpec.ROSpecID == 3 && ev.ROSpec.Type == ROSpecEnded {
+				return
+			}
+		case <-deadline:
+			t.Fatalf("no ROSpec end event within 2 s; virtual clock at %v", srv.Engine().Now())
+		}
 	}
 }
 
@@ -533,197 +596,6 @@ func TestAddROSpecRefusesUnrunnableFilters(t *testing.T) {
 	}
 }
 
-func TestAccessSpecRoundTrip(t *testing.T) {
-	mask, _ := epc.NewBits([]byte{0x30}, 8)
-	spec := AccessSpec{
-		ID:       5,
-		Antenna:  2,
-		ROSpecID: 7,
-		Target:   TargetTag{Bank: epc.BankEPC, Pointer: 32, Mask: mask},
-		Ops: []OpSpec{
-			{OpSpecID: 1, Bank: epc.BankTID, WordPtr: 0, WordCount: 2},
-			{OpSpecID: 2, Write: true, Bank: epc.BankUser, WordPtr: 1, Data: []uint16{0xAA55, 0x1234}},
-		},
-	}
-	got, err := DecodeAddAccessSpec(NewAddAccessSpec(1, spec))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.ID != 5 || got.Antenna != 2 || got.ROSpecID != 7 {
-		t.Fatalf("header: %+v", got)
-	}
-	if got.Target.Bank != epc.BankEPC || got.Target.Pointer != 32 || got.Target.Mask != mask {
-		t.Fatalf("target: %+v", got.Target)
-	}
-	if len(got.Ops) != 2 {
-		t.Fatalf("ops: %d", len(got.Ops))
-	}
-	if got.Ops[0].Write || got.Ops[0].WordCount != 2 || got.Ops[0].Bank != epc.BankTID {
-		t.Fatalf("read op: %+v", got.Ops[0])
-	}
-	w := got.Ops[1]
-	if !w.Write || w.WordPtr != 1 || len(w.Data) != 2 || w.Data[0] != 0xAA55 {
-		t.Fatalf("write op: %+v", w)
-	}
-	if _, err := DecodeAddAccessSpec(Message{Type: MsgAddAccessSpec}); err == nil {
-		t.Fatal("empty message must error")
-	}
-}
-
-func TestOpResultsInTagReport(t *testing.T) {
-	tr := TagReportData{EPC: epc.MustParse("30f4ab12cd0045e100000001"), AntennaID: 1}
-	tr.OpResults = []OpResult{
-		{OpSpecID: 1, Data: []uint16{0xE280, 0x1160}},
-		{OpSpecID: 2, Write: true, WordsWritten: 2},
-		{OpSpecID: 3, Result: 1},
-	}
-	got, err := DecodeROAccessReport(NewROAccessReport(1, []TagReportData{tr}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	ops := got[0].OpResults
-	if len(ops) != 3 {
-		t.Fatalf("op results: %d", len(ops))
-	}
-	if !ops[0].OK() || ops[0].Data[0] != 0xE280 {
-		t.Fatalf("read result: %+v", ops[0])
-	}
-	if !ops[1].Write || ops[1].WordsWritten != 2 || !ops[1].OK() {
-		t.Fatalf("write result: %+v", ops[1])
-	}
-	if ops[2].OK() {
-		t.Fatal("failed op must not report OK")
-	}
-}
-
-func TestAccessSpecOverTCP(t *testing.T) {
-	conn, srv, codes := startTestServer(t, 30, 5)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	// Access: read 2 TID words and write a word into User memory, for
-	// every tag the inventory singulates.
-	access := AccessSpec{
-		ID: 1,
-		Ops: []OpSpec{
-			{OpSpecID: 11, Bank: epc.BankTID, WordPtr: 0, WordCount: 2},
-			{OpSpecID: 12, Write: true, Bank: epc.BankUser, WordPtr: 0, Data: []uint16{0xBEEF}},
-		},
-	}
-	if err := conn.AddAccessSpec(ctx, access); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.EnableAccessSpec(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.AddROSpec(ctx, basicROSpec(1, 200)); err != nil {
-		t.Fatal(err)
-	}
-	conn.EnableROSpec(ctx, 1)
-	conn.StartROSpec(ctx, 1)
-	reports := collectReports(conn, 300*time.Millisecond, 3*time.Second)
-	if len(reports) == 0 {
-		t.Fatal("no reports")
-	}
-	seenOps := 0
-	for _, r := range reports {
-		if len(r.OpResults) == 0 {
-			continue
-		}
-		seenOps++
-		if len(r.OpResults) != 2 {
-			t.Fatalf("op results: %+v", r.OpResults)
-		}
-		rd := r.OpResults[0]
-		if !rd.OK() || rd.OpSpecID != 11 || len(rd.Data) != 2 || rd.Data[0]>>8 != 0xE2 {
-			t.Fatalf("TID read over the wire: %+v", rd)
-		}
-		wr := r.OpResults[1]
-		if !wr.OK() || wr.OpSpecID != 12 || !wr.Write || wr.WordsWritten != 1 {
-			t.Fatalf("write over the wire: %+v", wr)
-		}
-	}
-	if seenOps == 0 {
-		t.Fatal("no reports carried op results")
-	}
-	// The write really landed in the simulated tags.
-	for _, c := range codes {
-		st := srv.Engine().Scene().FindTag(c)
-		words, err := st.Memory.ReadWords(epc.BankUser, 0, 1)
-		if err != nil || words[0] != 0xBEEF {
-			t.Fatalf("tag %s user bank: %04x %v", c, words, err)
-		}
-	}
-	// Disable stops execution.
-	if err := conn.DisableAccessSpec(ctx, 1); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.DeleteAccessSpec(ctx, 0); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAccessSpecTargetFilterOverTCP(t *testing.T) {
-	conn, srv, codes := startTestServer(t, 31, 6)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-
-	target := codes[2]
-	mask, err := target.Slice(0, 32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	access := AccessSpec{
-		ID:     2,
-		Target: TargetTag{Bank: epc.BankEPC, Pointer: epc.EPCWordOffset, Mask: mask},
-		Ops: []OpSpec{
-			{OpSpecID: 21, Write: true, Bank: epc.BankUser, WordPtr: 0, Data: []uint16{0x5151}},
-		},
-	}
-	if err := conn.AddAccessSpec(ctx, access); err != nil {
-		t.Fatal(err)
-	}
-	conn.EnableAccessSpec(ctx, 2)
-	if err := conn.AddROSpec(ctx, basicROSpec(2, 200)); err != nil {
-		t.Fatal(err)
-	}
-	conn.EnableROSpec(ctx, 2)
-	conn.StartROSpec(ctx, 2)
-	collectReports(conn, 300*time.Millisecond, 3*time.Second)
-
-	for _, c := range codes {
-		st := srv.Engine().Scene().FindTag(c)
-		words, _ := st.Memory.ReadWords(epc.BankUser, 0, 1)
-		wrote := len(words) == 1 && words[0] == 0x5151
-		want := c.MatchBits(0, mask)
-		if wrote != want {
-			t.Fatalf("tag %s written=%v want=%v", c, wrote, want)
-		}
-	}
-}
-
-func TestAccessSpecLifecycleErrors(t *testing.T) {
-	conn, _, _ := startTestServer(t, 32, 2)
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	if err := conn.EnableAccessSpec(ctx, 9); err == nil {
-		t.Fatal("enabling unknown AccessSpec must fail")
-	}
-	spec := AccessSpec{ID: 9, Ops: []OpSpec{{OpSpecID: 1, Bank: epc.BankTID, WordCount: 1}}}
-	if err := conn.AddAccessSpec(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.AddAccessSpec(ctx, spec); err == nil {
-		t.Fatal("duplicate AccessSpec must fail")
-	}
-	if err := conn.DeleteAccessSpec(ctx, 9); err != nil {
-		t.Fatal(err)
-	}
-	if err := conn.AddAccessSpec(ctx, spec); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestProxyForwardsAndLogs(t *testing.T) {
 	// reader emulator ← proxy ← client: the full chain must work and the
 	// proxy must observe decoded traffic in both directions.
@@ -796,7 +668,6 @@ func TestMessageSummaries(t *testing.T) {
 		NewStatusResponse(MsgAddROSpecResponse, 5, LLRPStatus{Code: StatusParamError, Description: "bad"}),
 		NewKeepalive(6),
 		NewROSpecEventNotification(7, UTCTimestamp{}, ROSpecEvent{Type: ROSpecEnded, ROSpecID: 9}),
-		NewAddAccessSpec(8, AccessSpec{ID: 1, Ops: []OpSpec{{OpSpecID: 1, WordCount: 1}}}),
 	}
 	for _, m := range cases {
 		s := m.Summarize()

@@ -54,22 +54,6 @@ func (t MessageType) Name() string {
 		return "READER_EVENT_NOTIFICATION"
 	case MsgErrorMessage:
 		return "ERROR_MESSAGE"
-	case MsgAddAccessSpec:
-		return "ADD_ACCESSSPEC"
-	case MsgAddAccessSpecResponse:
-		return "ADD_ACCESSSPEC_RESPONSE"
-	case MsgDeleteAccessSpec:
-		return "DELETE_ACCESSSPEC"
-	case MsgDeleteAccessSpecResponse:
-		return "DELETE_ACCESSSPEC_RESPONSE"
-	case MsgEnableAccessSpec:
-		return "ENABLE_ACCESSSPEC"
-	case MsgEnableAccessSpecResponse:
-		return "ENABLE_ACCESSSPEC_RESPONSE"
-	case MsgDisableAccessSpec:
-		return "DISABLE_ACCESSSPEC"
-	case MsgDisableAccessSpecResponse:
-		return "DISABLE_ACCESSSPEC_RESPONSE"
 	default:
 		return fmt.Sprintf("MESSAGE_TYPE_%d", uint16(t))
 	}
@@ -98,9 +82,6 @@ func (m Message) Summarize() string {
 			if r.HasPhase {
 				fmt.Fprintf(&b, " φ=%.2f", r.PhaseRadians())
 			}
-			if len(r.OpResults) > 0 {
-				fmt.Fprintf(&b, " ops=%d", len(r.OpResults))
-			}
 			b.WriteString("]")
 		}
 		if len(reports) > show {
@@ -120,12 +101,7 @@ func (m Message) Summarize() string {
 				}
 			}
 		}
-	case MsgAddAccessSpec:
-		if spec, err := DecodeAddAccessSpec(m); err == nil {
-			fmt.Fprintf(&b, " accessspec=%d ops=%d", spec.ID, len(spec.Ops))
-		}
-	case MsgEnableROSpec, MsgStartROSpec, MsgStopROSpec, MsgDeleteROSpec, MsgDisableROSpec,
-		MsgEnableAccessSpec, MsgDeleteAccessSpec, MsgDisableAccessSpec:
+	case MsgEnableROSpec, MsgStartROSpec, MsgStopROSpec, MsgDeleteROSpec, MsgDisableROSpec:
 		if id, err := ROSpecIDOf(m); err == nil {
 			fmt.Fprintf(&b, " target=%d", id)
 		}

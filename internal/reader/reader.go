@@ -30,9 +30,6 @@ type TagRead struct {
 	Channel  int           // hop channel index
 	PhaseRad float64
 	RSSdBm   float64
-	// Access holds the results of the round's access operations against
-	// this tag (empty when the round carries none).
-	Access []AccessResult
 }
 
 // Stats aggregates link-layer counters across the reader's lifetime.
@@ -191,12 +188,6 @@ type RoundOpts struct {
 	// Budget, when positive, aborts the round once the round has consumed
 	// this much virtual time (the dwell boundary of a phase).
 	Budget time.Duration
-	// Access lists memory operations performed on every singulated tag
-	// (an LLRP AccessSpec bound to the round).
-	Access []AccessOp
-	// AccessFilter, when non-nil, restricts Access to tags whose memory it
-	// accepts (the AccessSpec's C1G2TagSpec).
-	AccessFilter func(*epc.Memory) bool
 }
 
 type participant struct {
@@ -312,11 +303,6 @@ func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 			er := tag.HandleACK(gen2.ACK{RN16: rep.RN16})
 			if er != nil {
 				r.now += lt.EPCReplyDuration(er.EPC.Bits()) + lt.T2()
-				var access []AccessResult
-				if len(opts.Access) > 0 &&
-					(opts.AccessFilter == nil || opts.AccessFilter(tag.Mem)) {
-					access = r.performAccess(tag, rep.RN16, opts.Access)
-				}
 				st := r.scn.FindTag(er.EPC)
 				if st != nil {
 					m := r.scn.MeasureTag(st, ant, r.now, r.chIdx)
@@ -326,7 +312,6 @@ func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 						emit(TagRead{
 							EPC: er.EPC, Time: r.now, Antenna: ant.ID,
 							Channel: r.chIdx, PhaseRad: m.PhaseRad, RSSdBm: m.RSSdBm,
-							Access: access,
 						})
 					}
 				}

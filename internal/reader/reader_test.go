@@ -468,53 +468,6 @@ func TestOracleStrategyFasterThanFixedQ(t *testing.T) {
 	}
 }
 
-func TestRoundWithAccessOps(t *testing.T) {
-	r, codes := newRig(t, 30, 4)
-	ops := []AccessOp{
-		{OpSpecID: 1, Kind: AccessRead, Bank: epc.BankTID, WordPtr: 0, WordCount: 2},
-		{OpSpecID: 2, Kind: AccessWrite, Bank: epc.BankUser, WordPtr: 0, Data: []uint16{0xCAFE}},
-		{OpSpecID: 3, Kind: AccessRead, Bank: epc.BankEPC, WordPtr: 99, WordCount: 1}, // overrun
-	}
-	reads, d := roundReads(r, RoundOpts{Antenna: 1, Access: ops})
-	if len(reads) != len(codes) {
-		t.Fatalf("reads = %d", len(reads))
-	}
-	for _, rd := range reads {
-		if len(rd.Access) != 3 {
-			t.Fatalf("access results = %d", len(rd.Access))
-		}
-		tid := rd.Access[0]
-		if !tid.OK || len(tid.Data) != 2 || tid.Data[0]>>8 != 0xE2 {
-			t.Fatalf("TID read: %+v", tid)
-		}
-		if !rd.Access[1].OK || rd.Access[1].WordsWritten != 1 {
-			t.Fatalf("write: %+v", rd.Access[1])
-		}
-		if rd.Access[2].OK {
-			t.Fatal("overrun read must fail")
-		}
-	}
-	// The writes landed in tag memory.
-	for _, rd := range reads {
-		st := r.Scene().FindTag(rd.EPC)
-		words, err := st.Memory.ReadWords(epc.BankUser, 0, 1)
-		if err != nil || words[0] != 0xCAFE {
-			t.Fatalf("user bank after write: %04x %v", words, err)
-		}
-	}
-	// Access ops cost air time: the round must be slower than a plain one.
-	r2, _ := newRig(t, 30, 4)
-	_, plain := roundReads(r2, RoundOpts{Antenna: 1})
-	if d <= plain {
-		t.Fatalf("access round (%v) must cost more than plain (%v)", d, plain)
-	}
-	// And the inventory invariant still holds on the next round.
-	reads2, _ := roundReads(r, RoundOpts{Antenna: 1})
-	if len(reads2) != len(codes) {
-		t.Fatalf("post-access round reads = %d", len(reads2))
-	}
-}
-
 func TestCaptureEffectResolvesNearFar(t *testing.T) {
 	// One tag right under the antenna, one at the edge of range: with
 	// capture enabled, collided slots resolve to the strong tag, so rounds
