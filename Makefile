@@ -68,32 +68,36 @@ soak:
 # loop among them), the disk decoders of the checkpoint protocol, the
 # per-reader count JSON, the -chaos flag parser and the middleware's
 # config file, mirroring CI. Go allows one -fuzz target per invocation.
+# Go minimises each new interesting input for up to 60 s by default, on
+# a worker that fuzzes nothing meanwhile, so a 10 s burst could spend
+# most of its time minimising; each minimisation gets 1 s here.
 fuzz-smoke:
-	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -run '^$$' ./internal/llrp/
-	go test -fuzz=FuzzParse -fuzztime=10s -run '^$$' ./internal/epc/
-	go test -fuzz=FuzzParseCursor -fuzztime=10s -run '^$$' ./internal/fleet/
-	go test -fuzz=FuzzParseSpec -fuzztime=10s -run '^$$' ./internal/chaos/
-	go test -fuzz=FuzzDecodeRecords -fuzztime=10s -run '^$$' ./internal/replication/
-	go test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -run '^$$' ./internal/statestore/
-	go test -fuzz=FuzzParseJournal -fuzztime=10s -run '^$$' ./internal/statestore/
-	go test -fuzz=FuzzRestoreImage -fuzztime=10s -run '^$$' ./internal/core/
-	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/core/
-	go test -fuzz=FuzzApplyFileConfig -fuzztime=10s -run '^$$' ./internal/core/
-	go test -fuzz=FuzzRestoreImage -fuzztime=10s -run '^$$' ./internal/fleet/
-	go test -fuzz=FuzzApplyRecord -fuzztime=10s -run '^$$' ./internal/fleet/
-	go test -fuzz=FuzzReaderCounts -fuzztime=10s -run '^$$' ./internal/fleet/
-	go test -fuzz=FuzzReadFrame -fuzztime=10s -run '^$$' ./internal/replication/
-	go test -fuzz=FuzzFrameLoop -fuzztime=10s -run '^$$' ./internal/edge/
+	go test -fuzz=FuzzDecodeFrame -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/llrp/
+	go test -fuzz=FuzzParse -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/epc/
+	go test -fuzz=FuzzParseCursor -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzParseSpec -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/chaos/
+	go test -fuzz=FuzzDecodeRecords -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/replication/
+	go test -fuzz=FuzzDecodeSnapshot -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/statestore/
+	go test -fuzz=FuzzParseJournal -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/statestore/
+	go test -fuzz=FuzzRestoreImage -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/core/
+	go test -fuzz=FuzzApplyRecord -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/core/
+	go test -fuzz=FuzzApplyFileConfig -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/core/
+	go test -fuzz=FuzzRestoreImage -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzApplyRecord -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzReaderCounts -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/fleet/
+	go test -fuzz=FuzzReadFrame -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/replication/
+	go test -fuzz=FuzzFrameLoop -fuzztime=10s -fuzzminimizetime=1s -run '^$$' ./internal/edge/
 
 # The perf-trajectory rig: the core data-plane benchmarks (wire codec,
-# schedule solver, motion model, EPC ops, WAL append, registry merge,
-# scenario compile, event-bus fan-out, ring replay and the reading
-# history write) rendered as BENCH_core.json. The file is checked in
+# schedule solver, motion model, EPC ops, read-all and selective
+# 400-tag inventory rounds, WAL append, registry merge, scenario
+# compile, event-bus fan-out, ring replay and the reading history
+# write) rendered as BENCH_core.json. The file is checked in
 # per PR and uploaded as a CI artifact, so ns/op / B/op / allocs/op form
 # a reviewable trajectory across the repo's history. Absolute numbers
 # vary by machine; the allocation counts should not.
-BENCH_PKGS = ./internal/llrp ./internal/schedule ./internal/motion ./internal/epc ./internal/statestore ./internal/fleet ./internal/scenario ./internal/core
-BENCH_SEL  = 'ROAccessReport|Select40Tags|Select400Tags|NewIndexTable|ObserveStationary|ObserveMoving|Peek|CRC16|MatchBits|WALAppend|JournalStream|RegistryObserve|CompileTimeline|BusPublishFanout|RingReplay|HistoryAdd'
+BENCH_PKGS = ./internal/llrp ./internal/schedule ./internal/motion ./internal/epc ./internal/reader ./internal/statestore ./internal/fleet ./internal/scenario ./internal/core
+BENCH_SEL  = 'ROAccessReport|Select40Tags|Select400Tags|NewIndexTable|ObserveStationary|ObserveMoving|Peek|CRC16|MatchBits|Round400Tags|WALAppend|JournalStream|RegistryObserve|CompileTimeline|BusPublishFanout|RingReplay|HistoryAdd'
 bench:
 	go test -run '^$$' -bench $(BENCH_SEL) -benchmem -benchtime=0.2s $(BENCH_PKGS) | go run ./cmd/benchjson > BENCH_core.json
 	@cat BENCH_core.json

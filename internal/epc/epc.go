@@ -137,12 +137,29 @@ func (e EPC) MatchBits(offset int, mask EPC) bool {
 	if offset < 0 || offset+mask.bits > e.bits {
 		return false
 	}
-	for i := 0; i < mask.bits; i++ {
-		if e.Bit(offset+i) != mask.Bit(i) {
+	// Byte i of the window is src[i]<<shift | src[i+1]>>(8-shift); the
+	// bounds check above guarantees src[i+1] exists whenever a window bit
+	// lies in it.
+	src, shift := e.data[offset/8:], uint(offset%8)
+	full := mask.bits / 8
+	for i := 0; i < full; i++ {
+		b := src[i] << shift
+		if shift != 0 {
+			b |= src[i+1] >> (8 - shift)
+		}
+		if b != mask.data[i] {
 			return false
 		}
 	}
-	return true
+	rem := mask.bits % 8
+	if rem == 0 {
+		return true
+	}
+	b := src[full] << shift
+	if shift != 0 && full+1 < len(src) {
+		b |= src[full+1] >> (8 - shift)
+	}
+	return (b^mask.data[full])&(0xFF<<(8-rem)) == 0
 }
 
 // Uint64 interprets the first min(64, Bits()) bits as a big-endian integer.

@@ -196,6 +196,66 @@ func TestSliceMatchesBitProperty(t *testing.T) {
 	}
 }
 
+// matchBitsByBit is MatchBits' definition, one bit at a time.
+func matchBitsByBit(e EPC, offset int, mask EPC) bool {
+	if offset < 0 || offset+mask.Bits() > e.Bits() {
+		return false
+	}
+	for i := 0; i < mask.Bits(); i++ {
+		if e.Bit(offset+i) != mask.Bit(i) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestMatchBitsMatchesDefinition checks the byte-wise MatchBits against
+// its bit-by-bit definition over random EPCs of every length up to 130
+// bits, offsets from -2 to past the end, and masks that are the window
+// itself, the window with one bit flipped, random, or longer than what
+// is left of the EPC.
+func TestMatchBitsMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	random := func(bits int) EPC {
+		buf := make([]byte, (bits+7)/8)
+		rng.Read(buf)
+		e, err := NewBits(buf, bits)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e
+	}
+	matches := 0
+	for i := 0; i < 20000; i++ {
+		e := random(rng.Intn(131))
+		off := rng.Intn(e.Bits()+5) - 2
+		n := rng.Intn(e.Bits() + 3)
+		var mask EPC
+		switch kind := rng.Intn(4); {
+		case kind < 2 && off >= 0 && off+n <= e.Bits():
+			mask, _ = e.Slice(off, n)
+			if kind == 1 && n > 0 {
+				b := mask.Bytes()
+				j := rng.Intn(n)
+				b[j/8] ^= 1 << (7 - j%8)
+				mask, _ = NewBits(b, n)
+			}
+		default:
+			mask = random(n)
+		}
+		want := matchBitsByBit(e, off, mask)
+		if got := e.MatchBits(off, mask); got != want {
+			t.Fatalf("%s (%d bits).MatchBits(%d, %s (%d bits)) = %v, want %v", e, e.Bits(), off, mask, mask.Bits(), got, want)
+		}
+		if want {
+			matches++
+		}
+	}
+	if matches < 2000 {
+		t.Fatalf("only %d of 20000 cases matched; the test exercises too few matches", matches)
+	}
+}
+
 func TestFromUint64Panics(t *testing.T) {
 	defer func() {
 		if recover() == nil {

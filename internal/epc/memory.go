@@ -42,8 +42,15 @@ const EPCWordOffset = 0x20
 
 // Memory is the addressable memory of one Gen2 tag. Banks are bit strings
 // addressed MSB-first, exactly as the Select command addresses them.
+// Build one with NewMemory.
 type Memory struct {
 	banks [4]EPC
+	// code, pc and crc memoise what a singulated tag backscatters, decoded
+	// from the EPC bank once per change: the EPC its StoredPC delimits,
+	// the PC word whose length field counts that EPC's words, and the
+	// CRC-16 over both. SetEPC and SetBank refresh them.
+	code    EPC
+	pc, crc uint16
 }
 
 // NewMemory lays out tag memory around an EPC code: the EPC bank is
@@ -84,11 +91,31 @@ func (m *Memory) SetEPC(code EPC) {
 	bank[1] = byte(crc)
 	copy(bank[2:], body)
 	m.banks[BankEPC] = New(bank)
+	m.decode()
 }
 
 // EPC returns the EPC code stored in the EPC bank (the bits after
 // StoredCRC+StoredPC, trimmed to the PC word's length field).
-func (m *Memory) EPC() EPC {
+func (m *Memory) EPC() EPC { return m.code }
+
+// PC returns the protocol-control word a tag backscatters ahead of EPC():
+// its 5-bit length field counts EPC()'s 16-bit words.
+func (m *Memory) PC() uint16 { return m.pc }
+
+// CRC returns the CRC-16 a tag backscatters after PC() and EPC(),
+// computed over both.
+func (m *Memory) CRC() uint16 { return m.crc }
+
+// decode refreshes the memo from the EPC bank.
+func (m *Memory) decode() {
+	m.code = m.decodeEPC()
+	words := (m.code.Bits() + 15) / 16
+	m.pc = uint16(words) << 11
+	m.crc = CRC16(m.code.AppendBytes([]byte{byte(m.pc >> 8), byte(m.pc)}))
+}
+
+// decodeEPC slices the EPC code out of the EPC bank.
+func (m *Memory) decodeEPC() EPC {
 	bank := m.banks[BankEPC]
 	if bank.Bits() < EPCWordOffset {
 		return EPC{}
@@ -124,6 +151,9 @@ func (m *Memory) SetBank(b MemoryBank, v EPC) error {
 		return fmt.Errorf("epc: invalid memory bank %d", b)
 	}
 	m.banks[b] = v
+	if b == BankEPC {
+		m.decode()
+	}
 	return nil
 }
 

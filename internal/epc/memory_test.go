@@ -53,6 +53,47 @@ func TestMemorySetEPCReplaces(t *testing.T) {
 	}
 }
 
+// TestMemoryMemoFollowsTheEPCBank: EPC, PC and CRC are decoded once per
+// change, so SetEPC and SetBank(BankEPC) must refresh them, and they must
+// equal what decoding the bank gives: the EPC the StoredPC delimits, a PC
+// word counting its words, and the CRC-16 over both.
+func TestMemoryMemoFollowsTheEPCBank(t *testing.T) {
+	check := func(m *Memory, want EPC) {
+		t.Helper()
+		if m.EPC() != want {
+			t.Fatalf("EPC() = %s (%d bits), want %s (%d bits)", m.EPC(), m.EPC().Bits(), want, want.Bits())
+		}
+		if words := (want.Bits() + 15) / 16; m.PC() != uint16(words)<<11 {
+			t.Fatalf("PC() = %#04x, want %d words", m.PC(), words)
+		}
+		if !CheckCRC16(want.AppendBytes([]byte{byte(m.PC() >> 8), byte(m.PC())}), m.CRC()) {
+			t.Fatalf("CRC() = %#04x does not protect PC+EPC", m.CRC())
+		}
+	}
+	m := NewMemory(MustParse("30f4ab12cd0045e100000001"))
+	check(m, MustParse("30f4ab12cd0045e100000001"))
+	m.SetEPC(MustParse("deadbeef"))
+	check(m, MustParse("deadbeef"))
+	// A 20-bit code fills two words; the tag backscatters both.
+	short, _ := NewBits([]byte{0xAB, 0xCD, 0xE0}, 20)
+	m.SetEPC(short)
+	check(m, MustParse("abcde000"))
+	// A raw bank whose StoredPC claims one word more than it holds
+	// yields what the bank has; a user-bank write leaves the memo alone.
+	if err := m.SetBank(BankEPC, MustParse("0000 1800 1122 3344")); err != nil {
+		t.Fatal(err)
+	}
+	check(m, MustParse("11223344"))
+	if err := m.SetBank(BankUser, MustParse("cafe")); err != nil {
+		t.Fatal(err)
+	}
+	check(m, MustParse("11223344"))
+	if err := m.SetBank(BankEPC, MustParse("00")); err != nil {
+		t.Fatal(err)
+	}
+	check(m, EPC{})
+}
+
 func TestMemoryTIDStableAndDistinct(t *testing.T) {
 	a := NewMemory(MustParse("30f4ab12cd0045e100000001"))
 	b := NewMemory(MustParse("30f4ab12cd0045e100000001"))

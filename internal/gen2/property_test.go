@@ -113,7 +113,7 @@ func TestParticipationMatchesSelAndFlagProperty(t *testing.T) {
 		if (q.Target == FlagB) != flagB {
 			want = false
 		}
-		got := tag.HandleQuery(q, rng) != nil // Q=0 ⇒ participants reply
+		_, got := tag.HandleQuery(q, rng) // Q=0 ⇒ participants reply
 		return got == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 400}); err != nil {

@@ -125,9 +125,11 @@ func (t *Tag) ApplySelect(cmd SelectCmd) {
 	}
 }
 
-// participates reports whether the tag meets a Query's (Sel, Session,
-// Target) criteria.
-func (t *Tag) participates(q Query) bool {
+// Joins reports whether HandleQuery(q) would make the tag join the round:
+// whether its SL flag meets q's Sel and its inventoried flag for q's
+// session equals q's Target, once an Acknowledged tag of that session has
+// inverted it. It changes nothing.
+func (t *Tag) Joins(q Query) bool {
 	switch q.Sel {
 	case SelSL:
 		if !t.sl {
@@ -138,7 +140,11 @@ func (t *Tag) participates(q Query) bool {
 			return false
 		}
 	}
-	return t.inv[q.Session&3] == q.Target
+	inv := t.inv[q.Session&3]
+	if t.state == StateAcknowledged && q.Session == t.session {
+		inv = inv.Invert()
+	}
+	return inv == q.Target
 }
 
 // Reply is what a tag backscatters in a slot.
@@ -148,44 +154,50 @@ type Reply struct {
 
 // HandleQuery processes a Query that begins a new inventory round. If the
 // tag participates it draws a slot in [0, 2^Q); a zero draw makes it reply
-// immediately. The returned pointer is nil when the tag stays silent.
+// immediately, and ok reports whether it does. A tag that does not join
+// ends in Ready and draws nothing.
 //
 // A tag in Acknowledged that sees a new Query for its session first inverts
 // its inventoried flag (its previous singulation succeeded) and then
 // re-evaluates participation, per the Gen2 state diagram.
-func (t *Tag) HandleQuery(q Query, rng *rand.Rand) *Reply {
+func (t *Tag) HandleQuery(q Query, rng *rand.Rand) (rep Reply, ok bool) {
+	joins := t.Joins(q)
 	if t.state == StateAcknowledged && q.Session == t.session {
 		t.inv[t.session&3] = t.inv[t.session&3].Invert()
 	}
 	t.state = StateReady
-	if !t.participates(q) {
-		return nil
+	if !joins {
+		return Reply{}, false
 	}
 	t.session = q.Session
 	t.slot = uint32(rng.Intn(1 << uint(q.Q&0x0F)))
 	if t.slot == 0 {
-		t.state = StateReply
-		t.rn16 = uint16(rng.Intn(1 << 16))
-		return &Reply{RN16: t.rn16}
+		return t.reply(rng), true
 	}
 	t.state = StateArbitrate
-	return nil
+	return Reply{}, false
+}
+
+// reply moves the tag to Reply with a fresh RN16.
+func (t *Tag) reply(rng *rand.Rand) Reply {
+	t.state = StateReply
+	t.rn16 = uint16(rng.Intn(1 << 16))
+	return Reply{RN16: t.rn16}
 }
 
 // HandleQueryRep processes a QueryRep for a session. Arbitrating tags
 // decrement their slot counter and reply at zero. An Acknowledged tag
 // inverts its inventoried flag and leaves the round. Tags in Reply that
 // were never acknowledged return to Arbitrate with their counter exhausted
-// (they effectively wait for the next round).
-func (t *Tag) HandleQueryRep(qr QueryRep, rng *rand.Rand) *Reply {
+// (they effectively wait for the next round). A Ready tag ignores it.
+func (t *Tag) HandleQueryRep(qr QueryRep, rng *rand.Rand) (rep Reply, ok bool) {
 	if qr.Session != t.session {
-		return nil
+		return Reply{}, false
 	}
 	switch t.state {
 	case StateAcknowledged:
 		t.inv[t.session&3] = t.inv[t.session&3].Invert()
 		t.state = StateReady
-		return nil
 	case StateReply:
 		// Collided or unacknowledged: per Gen2 the tag returns to
 		// Arbitrate; its counter is 0 so it would reply again at the next
@@ -194,40 +206,36 @@ func (t *Tag) HandleQueryRep(qr QueryRep, rng *rand.Rand) *Reply {
 		// behaviour of waiting with an exhausted counter (0x7FFF wrap).
 		t.state = StateArbitrate
 		t.slot = 0x7FFF
-		return nil
 	case StateArbitrate:
 		t.slot--
 		if t.slot == 0 {
-			t.state = StateReply
-			t.rn16 = uint16(rng.Intn(1 << 16))
-			return &Reply{RN16: t.rn16}
+			return t.reply(rng), true
 		}
 	}
-	return nil
+	return Reply{}, false
 }
 
 // HandleQueryAdjust processes a QueryAdjust: participating (arbitrating)
 // tags redraw their slot counters from the adjusted frame size. The reader
-// engine passes the new Q since the tag tracks only its draw.
-func (t *Tag) HandleQueryAdjust(qa QueryAdjust, newQ uint8, rng *rand.Rand) *Reply {
+// engine passes the new Q since the tag tracks only its draw. An
+// Acknowledged tag inverts its inventoried flag and leaves the round, as
+// on a QueryRep; a Ready tag ignores it.
+func (t *Tag) HandleQueryAdjust(qa QueryAdjust, newQ uint8, rng *rand.Rand) (rep Reply, ok bool) {
 	if qa.Session != t.session {
-		return nil
+		return Reply{}, false
 	}
 	switch t.state {
 	case StateAcknowledged:
 		t.inv[t.session&3] = t.inv[t.session&3].Invert()
 		t.state = StateReady
-		return nil
 	case StateArbitrate, StateReply:
 		t.slot = uint32(rng.Intn(1 << uint(newQ&0x0F)))
 		if t.slot == 0 {
-			t.state = StateReply
-			t.rn16 = uint16(rng.Intn(1 << 16))
-			return &Reply{RN16: t.rn16}
+			return t.reply(rng), true
 		}
 		t.state = StateArbitrate
 	}
-	return nil
+	return Reply{}, false
 }
 
 // EPCReply is a tag's answer to a valid ACK: its protocol-control word and
@@ -239,26 +247,20 @@ type EPCReply struct {
 }
 
 // HandleACK processes an ACK. A tag in Reply whose RN16 matches
-// backscatters PC+EPC and moves to Acknowledged; anything else stays
-// silent. An ACK with a wrong RN16 sends the tag back to Arbitrate.
-func (t *Tag) HandleACK(a ACK) *EPCReply {
+// backscatters PC+EPC, as its memory decoded them at their last change,
+// and moves to Acknowledged; ok reports whether it did. Anything else
+// stays silent. An ACK with a wrong RN16 sends the tag back to Arbitrate.
+func (t *Tag) HandleACK(a ACK) (er EPCReply, ok bool) {
 	if t.state != StateReply {
-		return nil
+		return EPCReply{}, false
 	}
 	if a.RN16 != t.rn16 {
 		t.state = StateArbitrate
 		t.slot = 0x7FFF
-		return nil
+		return EPCReply{}, false
 	}
 	t.state = StateAcknowledged
-	code := t.Mem.EPC()
-	words := (code.Bits() + 15) / 16
-	pc := uint16(words) << 11
-	body := make([]byte, 2, 2+2*words)
-	body[0] = byte(pc >> 8)
-	body[1] = byte(pc)
-	body = append(body, code.Bytes()...)
-	return &EPCReply{PC: pc, EPC: code, CRC: epc.CRC16(body)}
+	return EPCReply{PC: t.Mem.PC(), EPC: t.Mem.EPC(), CRC: t.Mem.CRC()}, true
 }
 
 // HandleNAK returns a replying or acknowledged tag to Arbitrate without

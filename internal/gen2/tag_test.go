@@ -11,6 +11,9 @@ func newTag(code string) *Tag {
 	return NewTag(epc.NewMemory(epc.MustParse(code)))
 }
 
+// replied reports whether a Handle call made the tag reply.
+func replied(_ Reply, ok bool) bool { return ok }
+
 func TestSelectActionTableSL(t *testing.T) {
 	mask := epc.New([]byte{0x30}) // matches tags whose EPC starts 0x30
 	sel := func(a Action) SelectCmd {
@@ -86,21 +89,54 @@ func TestQueryParticipationSelCriteria(t *testing.T) {
 	plainTag := newTag("e0f4ab12cd0045e100000001")
 
 	// Q=0 means a participating tag replies immediately.
-	if slTag.HandleQuery(q(SelSL), rng) == nil {
+	if !replied(slTag.HandleQuery(q(SelSL), rng)) {
 		t.Fatal("SL tag must join an SL-only round")
 	}
-	if plainTag.HandleQuery(q(SelSL), rng) != nil {
+	if replied(plainTag.HandleQuery(q(SelSL), rng)) {
 		t.Fatal("non-SL tag must stay out of an SL-only round")
 	}
-	if plainTag.HandleQuery(q(SelNotSL), rng) == nil {
+	if !replied(plainTag.HandleQuery(q(SelNotSL), rng)) {
 		t.Fatal("non-SL tag must join a ~SL round")
 	}
 	slTag.Reset()
-	if slTag.HandleQuery(q(SelNotSL), rng) != nil {
+	if replied(slTag.HandleQuery(q(SelNotSL), rng)) {
 		t.Fatal("SL tag must stay out of a ~SL round")
 	}
-	if slTag.HandleQuery(q(SelAll), rng) == nil || plainTag.HandleQuery(q(SelAll), rng) == nil {
+	if !replied(slTag.HandleQuery(q(SelAll), rng)) || !replied(plainTag.HandleQuery(q(SelAll), rng)) {
 		t.Fatal("all tags join a Sel=All round")
+	}
+}
+
+// TestJoinsMirrorsHandleQuery: Joins predicts, without changing the tag,
+// whether HandleQuery makes it join the round, in every inventory state,
+// SL value and flag, for Queries of the tag's own session and another.
+func TestJoinsMirrorsHandleQuery(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, st := range []State{StateReady, StateArbitrate, StateReply, StateAcknowledged} {
+		for _, sl := range []bool{false, true} {
+			for _, inv := range []Flag{FlagA, FlagB} {
+				for _, qs := range []Session{S1, S2} {
+					for _, sel := range []Sel{SelAll, SelNotSL, SelSL} {
+						for _, target := range []Flag{FlagA, FlagB} {
+							tag := newTag("30f4ab12cd0045e100000001")
+							tag.state, tag.session, tag.sl = st, S1, sl
+							tag.inv[S1], tag.inv[S2] = inv, inv
+							q := Query{Sel: sel, Session: qs, Target: target, Q: 4}
+							before := *tag
+							joins := tag.Joins(q)
+							if *tag != before {
+								t.Fatalf("Joins changed the tag: %+v -> %+v", before, *tag)
+							}
+							tag.HandleQuery(q, rng)
+							if joined := tag.State() != StateReady; joined != joins {
+								t.Fatalf("%v tag, SL %v, flag %v, %+v: Joins = %v, HandleQuery joined = %v",
+									st, sl, inv, q, joins, joined)
+							}
+						}
+					}
+				}
+			}
+		}
 	}
 }
 
@@ -108,10 +144,10 @@ func TestQueryTargetFlag(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	tag := newTag("30f4ab12cd0045e100000001")
 	tag.SetInventoried(S0, FlagB)
-	if tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng) != nil {
+	if replied(tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)) {
 		t.Fatal("B-flagged tag must not join an A-targeted round")
 	}
-	if tag.HandleQuery(Query{Session: S0, Target: FlagB, Q: 0}, rng) == nil {
+	if !replied(tag.HandleQuery(Query{Session: S0, Target: FlagB, Q: 0}, rng)) {
 		t.Fatal("B-flagged tag must join a B-targeted round")
 	}
 }
@@ -119,12 +155,12 @@ func TestQueryTargetFlag(t *testing.T) {
 func TestSingulationFlipsInventoriedFlag(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	tag := newTag("30f4ab12cd0045e100000001")
-	rep := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: 0}, rng)
-	if rep == nil {
+	rep, ok := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: 0}, rng)
+	if !ok {
 		t.Fatal("Q=0 participant must reply")
 	}
-	er := tag.HandleACK(ACK{RN16: rep.RN16})
-	if er == nil {
+	er, ok := tag.HandleACK(ACK{RN16: rep.RN16})
+	if !ok {
 		t.Fatal("matching ACK must elicit the EPC")
 	}
 	if er.EPC != tag.EPC() {
@@ -140,7 +176,7 @@ func TestSingulationFlipsInventoriedFlag(t *testing.T) {
 		t.Fatalf("state = %v, want Acknowledged", tag.State())
 	}
 	// The next QueryRep closes out the singulation: flag flips A→B.
-	if tag.HandleQueryRep(QueryRep{Session: S1}, rng) != nil {
+	if replied(tag.HandleQueryRep(QueryRep{Session: S1}, rng)) {
 		t.Fatal("acknowledged tag must not reply to QueryRep")
 	}
 	if tag.Inventoried(S1) != FlagB {
@@ -154,12 +190,12 @@ func TestSingulationFlipsInventoriedFlag(t *testing.T) {
 func TestNewQueryAlsoFlipsAcknowledged(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	tag := newTag("30f4ab12cd0045e100000001")
-	rep := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: 0}, rng)
+	rep, _ := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: 0}, rng)
 	tag.HandleACK(ACK{RN16: rep.RN16})
 	// A fresh Query for the same session implicitly completes the
 	// singulation; the tag (now FlagB) no longer participates in an
 	// A-targeted round.
-	if tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: 0}, rng) != nil {
+	if replied(tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: 0}, rng)) {
 		t.Fatal("flipped tag must not rejoin the A-targeted round")
 	}
 	if tag.Inventoried(S1) != FlagB {
@@ -170,8 +206,8 @@ func TestNewQueryAlsoFlipsAcknowledged(t *testing.T) {
 func TestWrongACKSendsTagToArbitrate(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tag := newTag("30f4ab12cd0045e100000001")
-	rep := tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)
-	if er := tag.HandleACK(ACK{RN16: rep.RN16 ^ 0xFFFF}); er != nil {
+	rep, _ := tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)
+	if _, ok := tag.HandleACK(ACK{RN16: rep.RN16 ^ 0xFFFF}); ok {
 		t.Fatal("wrong RN16 must not elicit an EPC")
 	}
 	if tag.State() != StateArbitrate {
@@ -184,7 +220,7 @@ func TestWrongACKSendsTagToArbitrate(t *testing.T) {
 
 func TestACKOutsideReplyIgnored(t *testing.T) {
 	tag := newTag("30f4ab12cd0045e100000001")
-	if tag.HandleACK(ACK{RN16: 7}) != nil {
+	if _, ok := tag.HandleACK(ACK{RN16: 7}); ok {
 		t.Fatal("Ready tag must ignore ACK")
 	}
 }
@@ -195,13 +231,13 @@ func TestQueryRepCountdown(t *testing.T) {
 	for seed := int64(0); seed < 200; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		tag := newTag("30f4ab12cd0045e100000001")
-		if tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 3}, rng) != nil {
+		if replied(tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 3}, rng)) {
 			continue // drew slot 0
 		}
 		reps := 0
 		for tag.State() == StateArbitrate && reps < 9 {
 			reps++
-			if rep := tag.HandleQueryRep(QueryRep{Session: S0}, rng); rep != nil {
+			if replied(tag.HandleQueryRep(QueryRep{Session: S0}, rng)) {
 				if reps > 7 {
 					t.Fatalf("tag replied after %d reps in a Q=3 frame", reps)
 				}
@@ -218,7 +254,7 @@ func TestQueryRepOtherSessionIgnored(t *testing.T) {
 	tag := newTag("30f4ab12cd0045e100000001")
 	tag.HandleQuery(Query{Session: S2, Target: FlagA, Q: 4}, rng)
 	st := tag.State()
-	if tag.HandleQueryRep(QueryRep{Session: S0}, rng) != nil || tag.State() != st {
+	if replied(tag.HandleQueryRep(QueryRep{Session: S0}, rng)) || tag.State() != st {
 		t.Fatal("QueryRep for another session must be ignored")
 	}
 }
@@ -226,12 +262,11 @@ func TestQueryRepOtherSessionIgnored(t *testing.T) {
 func TestCollidedTagWaitsOutTheRound(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	tag := newTag("30f4ab12cd0045e100000001")
-	rep := tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)
-	if rep == nil {
+	if !replied(tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)) {
 		t.Fatal("must reply at Q=0")
 	}
 	// Reader saw a collision: no ACK, just the next QueryRep.
-	if tag.HandleQueryRep(QueryRep{Session: S0}, rng) != nil {
+	if replied(tag.HandleQueryRep(QueryRep{Session: S0}, rng)) {
 		t.Fatal("collided tag must fall back to Arbitrate silently")
 	}
 	if tag.State() != StateArbitrate {
@@ -247,15 +282,14 @@ func TestQueryAdjustRedraw(t *testing.T) {
 	tag := newTag("30f4ab12cd0045e100000001")
 	tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 8}, rng)
 	// Adjust down to Q=0: every arbitrating tag redraws in [0,1) → replies.
-	rep := tag.HandleQueryAdjust(QueryAdjust{Session: S0, UpDn: -1}, 0, rng)
-	if rep == nil && tag.State() != StateReply {
+	if !replied(tag.HandleQueryAdjust(QueryAdjust{Session: S0, UpDn: -1}, 0, rng)) && tag.State() != StateReply {
 		t.Fatalf("after adjust to Q=0 the tag must reply (state %v)", tag.State())
 	}
 	// Adjust for another session is ignored.
 	tag2 := newTag("30f4ab12cd0045e100000002")
 	tag2.HandleQuery(Query{Session: S2, Target: FlagA, Q: 8}, rng)
 	st := tag2.State()
-	if tag2.HandleQueryAdjust(QueryAdjust{Session: S0, UpDn: -1}, 0, rng) != nil || tag2.State() != st {
+	if replied(tag2.HandleQueryAdjust(QueryAdjust{Session: S0, UpDn: -1}, 0, rng)) || tag2.State() != st {
 		t.Fatal("adjust for another session must be ignored")
 	}
 }
@@ -263,7 +297,7 @@ func TestQueryAdjustRedraw(t *testing.T) {
 func TestQueryAdjustCompletesAcknowledged(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	tag := newTag("30f4ab12cd0045e100000001")
-	rep := tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)
+	rep, _ := tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)
 	tag.HandleACK(ACK{RN16: rep.RN16})
 	tag.HandleQueryAdjust(QueryAdjust{Session: S0}, 2, rng)
 	if tag.Inventoried(S0) != FlagB || tag.State() != StateReady {
@@ -274,7 +308,7 @@ func TestQueryAdjustCompletesAcknowledged(t *testing.T) {
 func TestNAK(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	tag := newTag("30f4ab12cd0045e100000001")
-	rep := tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)
+	rep, _ := tag.HandleQuery(Query{Session: S0, Target: FlagA, Q: 0}, rng)
 	tag.HandleACK(ACK{RN16: rep.RN16})
 	tag.HandleNAK()
 	if tag.State() != StateArbitrate {
@@ -308,28 +342,28 @@ func TestFullRoundInventoriesEveryTagOnce(t *testing.T) {
 	reads := map[epc.EPC]int{}
 
 	q := uint8(5)
-	collect := func(replies map[*Tag]*Reply) {
+	collect := func(replies map[*Tag]Reply) {
 		if len(replies) != 1 {
 			return // empty or collision
 		}
 		for tag, rep := range replies {
-			if er := tag.HandleACK(ACK{RN16: rep.RN16}); er != nil {
+			if er, ok := tag.HandleACK(ACK{RN16: rep.RN16}); ok {
 				reads[er.EPC]++
 			}
 		}
 	}
 
-	replies := map[*Tag]*Reply{}
+	replies := map[*Tag]Reply{}
 	for _, tag := range tags {
-		if r := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: q}, rng); r != nil {
+		if r, ok := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: q}, rng); ok {
 			replies[tag] = r
 		}
 	}
 	collect(replies)
 	for slot := 0; slot < 4000; slot++ {
-		replies = map[*Tag]*Reply{}
+		replies = map[*Tag]Reply{}
 		for _, tag := range tags {
-			if r := tag.HandleQueryRep(QueryRep{Session: S1}, rng); r != nil {
+			if r, ok := tag.HandleQueryRep(QueryRep{Session: S1}, rng); ok {
 				replies[tag] = r
 			}
 		}
@@ -349,10 +383,10 @@ func TestFullRoundInventoriesEveryTagOnce(t *testing.T) {
 		// the same round.
 		if slot%64 == 63 {
 			for _, tag := range tags {
-				if r := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: q}, rng); r != nil {
+				if r, ok := tag.HandleQuery(Query{Session: S1, Target: FlagA, Q: q}, rng); ok {
 					replies[tag] = r
 				} else if tag.State() == StateReply {
-					replies[tag] = &Reply{}
+					replies[tag] = Reply{}
 				}
 			}
 			collect(replies)

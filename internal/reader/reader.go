@@ -9,6 +9,25 @@
 // the middleware can observe — EPC, timestamp, antenna, channel, RF phase,
 // RSS — is surfaced through TagRead, exactly the tuple a real LLRP
 // RO_ACCESS_REPORT carries.
+//
+// # Which tags each command visits
+//
+// A round measures every scene tag once to find the ones the antenna
+// energises. Every energised tag then hears the round's Selects and its
+// opening Query. Only the tags that join the Query, the contenders, hear
+// the QueryReps and QueryAdjusts that follow, and a contender leaves the
+// round once its singulation completes and it is back in Ready, where it
+// would ignore both. The ACK goes to the slot's one replier. So a slot
+// costs what the tags still in the round cost, not the whole field.
+//
+// The draws are bit-identical to a reader that sends every command to
+// every energised tag, because a tag outside the round draws nothing:
+// only contenders draw slot counters and RN16s, in scene order, and the
+// channel draws its noise once per scene tag at round start, once per
+// read and once per replier when capture weighs a collision. Each
+// contender carries its scene tag, so a read is measured without a
+// search, and tag memory decodes its EPC, PC word and CRC once per
+// change, not per read. TestRoundGolden pins the draw order.
 package reader
 
 import (
@@ -99,16 +118,25 @@ type Reader struct {
 	now   time.Duration
 	chIdx int
 	stats Stats
-	// repliers is the reusable per-slot reply buffer: the inventory loop
-	// runs millions of slots per experiment and must not allocate per
-	// slot.
-	repliers []replier
+	// parts, contenders and repliers are the round's reusable buffers: the
+	// energised tags, the ones still in the round, and the slot's
+	// repliers. The inventory loop runs millions of slots per experiment
+	// and must not allocate per slot.
+	parts, contenders []participant
+	repliers          []replier
 }
 
-// replier pairs a tag with its in-flight RN16 reply for one slot.
+// participant is an energised tag: its place in the scene and its
+// link-layer state.
+type participant struct {
+	st *scene.Tag
+	lt *gen2.Tag
+}
+
+// replier pairs a participant with its in-flight RN16 reply for one slot.
 type replier struct {
-	tag *gen2.Tag
-	rep *gen2.Reply
+	participant
+	rep gen2.Reply
 }
 
 // New builds a reader over a scene. The scene must already contain its
@@ -190,21 +218,18 @@ type RoundOpts struct {
 	Budget time.Duration
 }
 
-type participant struct {
-	st *scene.Tag
-	lt *gen2.Tag
-}
-
 // RunRound executes one full inventory round and returns its total
 // virtual duration. Each successful read is handed to emit (which may be
 // nil) at its singulation, so the reader clock during the call is the
 // read's Time; emit must not start another round on this reader. The
 // round charges the start-up cost τ₀, the Select air time, every slot,
 // and the tail of empty slots a real reader needs before it can conclude
-// the population is exhausted.
+// the population is exhausted. The package comment says which tags each
+// command visits.
 func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 	start := r.now
 	lt := r.cfg.Timing
+	rng := r.scn.RNG()
 	r.stats.Rounds++
 	r.hop()
 
@@ -217,14 +242,13 @@ func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 	}
 
 	// Determine the tags the antenna can energise at round start.
-	parts := make([]participant, 0, len(r.scn.Tags))
+	parts := r.parts[:0]
 	for _, st := range r.scn.Tags {
-		m := r.scn.MeasureTag(st, ant, r.now, r.chIdx)
-		if !m.Readable {
-			continue
+		if r.scn.MeasureTag(st, ant, r.now, r.chIdx).Readable {
+			parts = append(parts, participant{st: st, lt: r.linkTag(st)})
 		}
-		parts = append(parts, participant{st: st, lt: r.linkTag(st)})
 	}
+	r.parts = parts
 
 	// Select sequence. Every round begins by resetting the session flag of
 	// all tags in the field to A (part of the "clearing history states"
@@ -250,24 +274,32 @@ func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 		}
 	}
 
-	// Opening Query.
-	q := r.cfg.Strategy.BeginRound(len(parts))
+	// Opening Query, sized for the tags that will join it. Every energised
+	// tag hears it; the ones that join are the round's contenders.
+	query := gen2.Query{Sel: sel, Session: r.cfg.Session, Target: gen2.FlagA}
+	joining := 0
+	for _, p := range parts {
+		if p.lt.Joins(query) {
+			joining++
+		}
+	}
+	query.Q = r.cfg.Strategy.BeginRound(joining)
 	r.now += lt.QueryDuration()
 	replies := r.repliers[:0]
-	pending := 0 // participants whose flag still matches the round target
-	query := gen2.Query{Sel: sel, Session: r.cfg.Session, Target: gen2.FlagA, Q: q}
+	cont := r.contenders[:0]
 	for _, p := range parts {
-		if rep := p.lt.HandleQuery(query, r.scn.RNG()); rep != nil {
-			replies = append(replies, replier{tag: p.lt, rep: rep})
+		if rep, ok := p.lt.HandleQuery(query, rng); ok {
+			replies = append(replies, replier{p, rep})
+		}
+		if p.lt.State() != gen2.StateReady {
+			cont = append(cont, p)
 		}
 	}
-	for _, p := range parts {
-		if r.participates(p.lt, sel) {
-			pending++
-		}
-	}
+	pending := len(cont) // contenders not yet singulated
 
 	slotCmd := lt.QueryRepDuration()
+	qa := gen2.QueryAdjust{Session: r.cfg.Session}
+	qr := gen2.QueryRep{Session: r.cfg.Session}
 	overBudget := func() bool {
 		return opts.Budget > 0 && r.now-start >= opts.Budget
 	}
@@ -298,22 +330,18 @@ func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 			outcome = aloha.Singleton
 			r.stats.Singles++
 			emptyStreak = 0
-			tag, rep := replies[0].tag, replies[0].rep
+			w := replies[0]
 			r.now += slotCmd + lt.T1() + lt.RN16Duration() + lt.T2() + lt.ACKDuration() + lt.T1()
-			er := tag.HandleACK(gen2.ACK{RN16: rep.RN16})
-			if er != nil {
+			if er, ok := w.lt.HandleACK(gen2.ACK{RN16: w.rep.RN16}); ok {
 				r.now += lt.EPCReplyDuration(er.EPC.Bits()) + lt.T2()
-				st := r.scn.FindTag(er.EPC)
-				if st != nil {
-					m := r.scn.MeasureTag(st, ant, r.now, r.chIdx)
-					r.stats.Reads++
-					pending--
-					if emit != nil {
-						emit(TagRead{
-							EPC: er.EPC, Time: r.now, Antenna: ant.ID,
-							Channel: r.chIdx, PhaseRad: m.PhaseRad, RSSdBm: m.RSSdBm,
-						})
-					}
+				m := r.scn.MeasureTag(w.st, ant, r.now, r.chIdx)
+				r.stats.Reads++
+				pending--
+				if emit != nil {
+					emit(TagRead{
+						EPC: er.EPC, Time: r.now, Antenna: ant.ID,
+						Channel: r.chIdx, PhaseRad: m.PhaseRad, RSSdBm: m.RSSdBm,
+					})
 				}
 			}
 		default:
@@ -332,32 +360,41 @@ func (r *Reader) RunRound(opts RoundOpts, emit func(TagRead)) time.Duration {
 			break
 		}
 
-		if changed || outcome == aloha.Collision {
-			// QueryAdjust re-draws all arbitrating tags. After a collision
-			// the reader must adjust even when the rounded Q is unchanged:
-			// collided tags have wrapped their slot counters to 0x7FFF and
-			// only a redraw brings them back into the frame (otherwise an
-			// initial Q of 0 deadlocks, alternating collision and empty).
+		// QueryAdjust re-draws all arbitrating tags. After a collision the
+		// reader must adjust even when the rounded Q is unchanged: collided
+		// tags have wrapped their slot counters to 0x7FFF and only a redraw
+		// brings them back into the frame (otherwise an initial Q of 0
+		// deadlocks, alternating collision and empty). Otherwise the next
+		// slot opens with a QueryRep. Either goes to the contenders only; a
+		// contender back in Ready has completed its singulation, ignores
+		// both, and leaves the round.
+		adjust := changed || outcome == aloha.Collision
+		if adjust {
 			r.now += lt.QueryAdjustDuration()
-			qa := gen2.QueryAdjust{Session: r.cfg.Session}
-			replies = replies[:0]
-			for _, p := range parts {
-				if rep := p.lt.HandleQueryAdjust(qa, newQ, r.scn.RNG()); rep != nil {
-					replies = append(replies, replier{tag: p.lt, rep: rep})
-				}
-			}
-			continue
 		}
-
-		// Next slot via QueryRep.
 		replies = replies[:0]
-		qr := gen2.QueryRep{Session: r.cfg.Session}
-		for _, p := range parts {
-			if rep := p.lt.HandleQueryRep(qr, r.scn.RNG()); rep != nil {
-				replies = append(replies, replier{tag: p.lt, rep: rep})
+		n := 0
+		for _, p := range cont {
+			var (
+				rep gen2.Reply
+				ok  bool
+			)
+			if adjust {
+				rep, ok = p.lt.HandleQueryAdjust(qa, newQ, rng)
+			} else {
+				rep, ok = p.lt.HandleQueryRep(qr, rng)
+			}
+			if ok {
+				replies = append(replies, replier{p, rep})
+			}
+			if p.lt.State() != gen2.StateReady {
+				cont[n] = p
+				n++
 			}
 		}
+		cont = cont[:n]
 	}
+	r.contenders = cont[:0]
 	r.repliers = replies[:0]
 	return r.now - start
 }
@@ -368,11 +405,7 @@ func (r *Reader) captureWinner(replies []replier, ant scene.Antenna) int {
 	var best, second float64 = -1e9, -1e9
 	winner := -1
 	for i, rep := range replies {
-		st := r.scn.FindTag(rep.tag.EPC())
-		if st == nil {
-			return -1
-		}
-		m := r.scn.MeasureTag(st, ant, r.now, r.chIdx)
+		m := r.scn.MeasureTag(rep.st, ant, r.now, r.chIdx)
 		if m.RSSdBm > best {
 			second = best
 			best = m.RSSdBm
@@ -394,22 +427,6 @@ func (r *Reader) applySelect(parts []participant, cmd gen2.SelectCmd) {
 	for _, p := range parts {
 		p.lt.ApplySelect(cmd)
 	}
-}
-
-// participates mirrors the tag-side Query participation test for the
-// reader's bookkeeping of how many tags remain un-inventoried.
-func (r *Reader) participates(t *gen2.Tag, sel gen2.Sel) bool {
-	switch sel {
-	case gen2.SelSL:
-		if !t.SL() {
-			return false
-		}
-	case gen2.SelNotSL:
-		if t.SL() {
-			return false
-		}
-	}
-	return t.Inventoried(r.cfg.Session) == gen2.FlagA
 }
 
 // antenna resolves a 1-based antenna port.

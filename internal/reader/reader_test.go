@@ -512,3 +512,48 @@ func TestCaptureEffectResolvesNearFar(t *testing.T) {
 			withCapture.Stats().Collisions, without.Stats().Collisions)
 	}
 }
+
+// openingQ records the Q each round opens at.
+type openingQ struct {
+	aloha.OracleDFSA
+	opened []uint8
+}
+
+func (s *openingQ) BeginRound(estimate int) uint8 {
+	q := s.OracleDFSA.BeginRound(estimate)
+	s.opened = append(s.opened, q)
+	return q
+}
+
+// TestStrategySizesForTheQueryContenders: the strategy's estimate is the
+// number of tags that will join the opening Query, not every energised
+// tag, so an oracle opens a round that selects 2 of 400 at Q = 1.
+func TestStrategySizesForTheQueryContenders(t *testing.T) {
+	rng := rand.New(rand.NewSource(21))
+	scn := scene.New(rf.NewChannel(rf.DefaultParams(), rng), rng)
+	scn.AddAntenna(rf.Pt(0, 0, 2))
+	codes, err := epc.RandomPopulation(rng, 400, 96)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range codes {
+		scn.AddTag(c, scene.Stationary{P: rf.Pt(0.4+float64(i%20)*0.25, 0.4+float64(i/20)*0.25, 0)})
+	}
+	strategy := &openingQ{}
+	cfg := DefaultConfig()
+	cfg.Strategy = strategy
+	r := New(cfg, scn)
+	var filters []gen2.SelectCmd
+	for _, c := range codes[:2] {
+		filters = append(filters, gen2.SelectCmd{Action: gen2.ActionAssertNothing, MemBank: epc.BankEPC, Pointer: epc.EPCWordOffset, Mask: c})
+	}
+	if reads, _ := roundReads(r, RoundOpts{Antenna: 1, Filters: filters}); len(reads) != 2 {
+		t.Fatalf("the selective round read %d tags, want 2", len(reads))
+	}
+	if reads, _ := roundReads(r, RoundOpts{Antenna: 1}); len(reads) != 400 {
+		t.Fatalf("read-all read %d tags, want 400", len(reads))
+	}
+	if want := []uint8{1, 9}; len(strategy.opened) != 2 || strategy.opened[0] != want[0] || strategy.opened[1] != want[1] {
+		t.Fatalf("rounds opened at Q = %v, want %v (2 and 400 contenders)", strategy.opened, want)
+	}
+}

@@ -243,16 +243,6 @@ func (s *Scene) MeasureTag(tag *Tag, ant Antenna, t time.Duration, chanIdx int) 
 	return s.Channel.Measure(s.rng, ant.Pos, tag.Traj.Pos(t), tag.Theta0, chanIdx, s.ReflectorsAt(t))
 }
 
-// FindTag returns the scene tag with the given EPC, or nil.
-func (s *Scene) FindTag(code epc.EPC) *Tag {
-	for _, t := range s.Tags {
-		if t.EPC == code {
-			return t
-		}
-	}
-	return nil
-}
-
 // MovingTags returns the EPCs of tags whose trajectories report motion at
 // virtual time t — the experiment ground truth.
 func (s *Scene) MovingTags(t time.Duration) map[epc.EPC]bool {

@@ -156,11 +156,10 @@ func TestSceneTagsAndAntennas(t *testing.T) {
 	if id := s.AddAntenna(rf.Pt(5, 5, 2)); id != 2 {
 		t.Fatalf("second antenna ID = %d, want 2", id)
 	}
-	if got := s.FindTag(pop[1]); got == nil || got.EPC != pop[1] {
-		t.Fatal("FindTag must locate existing tag")
-	}
-	if s.FindTag(epc.MustParse("00ff")) != nil {
-		t.Fatal("FindTag must return nil for unknown EPC")
+	for i, code := range pop {
+		if s.Tags[i].EPC != code {
+			t.Fatalf("tag %d has EPC %s, want %s in the order added", i, s.Tags[i].EPC, code)
+		}
 	}
 	if s.Tags[0].Memory.EPC() != pop[0] {
 		t.Fatal("tag memory must carry its EPC")
